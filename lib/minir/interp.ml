@@ -1,10 +1,19 @@
 (* Concrete Minir interpreter.
 
    The reference executor: it replays counterexample queries produced by
-   the refinement checker against the real engine code, and it powers the
+   the refinement checker against the real engine code, it powers the
    differential tests (engine vs. top-level specification on random
-   zones). Opaque-pointer instructions must be resolved by [Opaque] first;
-   the interpreter rejects them. *)
+   zones), and it answers every query `dnsv serve` receives. Opaque-pointer
+   instructions must be resolved by [Opaque] first; the interpreter
+   rejects them.
+
+   A program is resolved once before it runs: function names become
+   indices into a function array, block labels become indices into each
+   function's block array, and registers become slots of a per-frame
+   value array. Running resolved code looks up no name. Names that do
+   not resolve (an unknown callee, a branch to a missing label) are
+   kept as negative indices and raise when executed, exactly where a
+   by-name lookup would have failed. *)
 
 type outcome =
   | Returned of Value.t option * Value.memory
@@ -14,16 +23,196 @@ exception Out_of_fuel
 
 let default_fuel = 2_000_000
 
-type frame = { regs : (Instr.reg, Value.t) Hashtbl.t }
+(* ------------------------------------------------------------------ *)
+(* Resolved code                                                      *)
+(* ------------------------------------------------------------------ *)
 
-let operand_value (fr : frame) : Instr.operand -> Value.t = function
-  | Instr.Const_int n -> Value.VInt n
-  | Instr.Const_bool b -> Value.VBool b
-  | Instr.Null _ -> Value.VNull
-  | Instr.Reg r -> (
-      match Hashtbl.find_opt fr.regs r with
-      | Some v -> v
-      | None -> Value.panic "read of unassigned register %%%s" r)
+type operand =
+  | Const of Value.t
+  | Slot of int * Instr.reg (* frame slot; the name is for the panic *)
+
+type rvalue =
+  | Binop of Instr.binop * operand * operand
+  | Icmp of Instr.icmp * operand * operand
+  | Not of operand
+  | Alloc of Value.mval Lazy.t (* the allocated type's default value *)
+  | Load of operand
+  | Gep of operand * operand list
+  | Call of int * string * operand array (* callee index (< 0: unknown) *)
+  | Opaque_op
+
+type instr =
+  | Assign of int * rvalue
+  | Store of operand * operand (* value, pointer *)
+  | Opaque_store
+  | Call_void of int * string * operand array
+
+(* Block targets index [func.blocks]; a target [t < 0] names the missing
+   label [func.missing.(-t - 1)]. *)
+type terminator =
+  | Br of int
+  | Cond_br of operand * int * int
+  | Ret of operand option
+  | Panic of string
+  | Unreachable
+
+type block = { label : Instr.label; insns : instr array; term : terminator }
+
+type func = {
+  name : string;
+  param_slots : int array;
+  slot_names : Instr.reg array; (* one per frame slot *)
+  entry : int;
+  blocks : block array;
+  missing : Instr.label array;
+}
+
+type code = { funcs : func array; by_name : (string, int) Hashtbl.t }
+
+(* First occurrence wins, as in the by-name lookups [Instr.find_func]
+   and [Instr.find_block]. *)
+let index_first (names : string list) : (string, int) Hashtbl.t =
+  let tbl = Hashtbl.create 64 in
+  List.iteri
+    (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name i)
+    names;
+  tbl
+
+(* Default values are computed once per type and shared by every
+   allocation of that type. Sharing is safe because memory values are
+   never mutated in place: [Value.store] rebuilds the path it writes
+   ([Value.mval_set] copies each array it descends through), so a store
+   into one allocation can never show through another. Forced lazily so
+   a type error in an allocation surfaces when (and only if) it runs. *)
+let resolve (p : Instr.program) : code =
+  let by_name = index_first (List.map (fun f -> f.Instr.fn_name) p.Instr.funcs) in
+  let defaults = Hashtbl.create 16 in
+  let default ty =
+    match Hashtbl.find_opt defaults ty with
+    | Some d -> d
+    | None ->
+        let d = lazy (Value.mval_default p.Instr.tenv ty) in
+        Hashtbl.add defaults ty d;
+        d
+  in
+  let callee name = Option.value (Hashtbl.find_opt by_name name) ~default:(-1) in
+  let resolve_func (f : Instr.func) : func =
+    let labels = index_first (List.map fst f.Instr.blocks) in
+    let missing = ref [] in
+    let target l =
+      match Hashtbl.find_opt labels l with
+      | Some i -> i
+      | None ->
+          let rec find i = function
+            | [] ->
+                missing := !missing @ [ l ];
+                -List.length !missing
+            | m :: rest -> if m = l then -(i + 1) else find (i + 1) rest
+          in
+          find 0 !missing
+    in
+    let slots = Hashtbl.create 32 and names = ref [] in
+    let slot r =
+      match Hashtbl.find_opt slots r with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length slots in
+          Hashtbl.add slots r i;
+          names := r :: !names;
+          i
+    in
+    let param_slots =
+      Array.of_list (List.map (fun (r, _ty) -> slot r) f.Instr.params)
+    in
+    let operand = function
+      | Instr.Const_int n -> Const (Value.VInt n)
+      | Instr.Const_bool b -> Const (Value.VBool b)
+      | Instr.Null _ -> Const Value.VNull
+      | Instr.Reg r -> Slot (slot r, r)
+    in
+    let args os = Array.of_list (List.map operand os) in
+    let rvalue = function
+      | Instr.Binop (op, a, b) -> Binop (op, operand a, operand b)
+      | Instr.Icmp (op, _ty, a, b) -> Icmp (op, operand a, operand b)
+      | Instr.Not a -> Not (operand a)
+      | Instr.Alloca ty | Instr.Newobject ty -> Alloc (default ty)
+      | Instr.Load (_ty, ptr) -> Load (operand ptr)
+      | Instr.Gep (_pointee, base, indices) ->
+          Gep (operand base, List.map operand indices)
+      | Instr.Call (name, os) -> Call (callee name, name, args os)
+      | Instr.Bitcast _ | Instr.Byte_gep _ | Instr.Opaque_load _ -> Opaque_op
+    in
+    let instr = function
+      | Instr.Assign (r, rv) -> Assign (slot r, rvalue rv)
+      | Instr.Store (_ty, v, ptr) -> Store (operand v, operand ptr)
+      | Instr.Opaque_store _ -> Opaque_store
+      | Instr.Call_void (name, os) -> Call_void (callee name, name, args os)
+    in
+    let term = function
+      | Instr.Br l -> Br (target l)
+      | Instr.Cond_br (c, l1, l2) -> Cond_br (operand c, target l1, target l2)
+      | Instr.Ret o -> Ret (Option.map operand o)
+      | Instr.Panic reason -> Panic reason
+      | Instr.Unreachable -> Unreachable
+    in
+    let blocks =
+      Array.of_list
+        (List.map
+           (fun (label, (b : Instr.block)) ->
+             let insns = Array.of_list (List.map instr b.Instr.insns) in
+             { label; insns; term = term b.Instr.term })
+           f.Instr.blocks)
+    in
+    let entry = target f.Instr.entry in
+    {
+      name = f.Instr.fn_name;
+      param_slots;
+      slot_names = Array.of_list (List.rev !names);
+      entry;
+      blocks;
+      missing = Array.of_list !missing;
+    }
+  in
+  { funcs = Array.of_list (List.map resolve_func p.Instr.funcs); by_name }
+
+(* Resolved code, memoised per domain by the program's physical
+   identity (programs are immutable values). The table is weak in the
+   program: resolved code lives exactly as long as its program, so a
+   program dropped by its owner (a cleared compile memo, a test's
+   throwaway program) takes its resolved code with it. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Instr.program
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let memo_key : code Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create 8)
+
+let resolved (p : Instr.program) : code =
+  let memo = Domain.DLS.get memo_key in
+  match Memo.find_opt memo p with
+  | Some c -> c
+  | None ->
+      let c = resolve p in
+      Memo.replace memo p c;
+      c
+
+(* ------------------------------------------------------------------ *)
+(* Execution                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The frame value of a slot nothing has written yet; compared by
+   physical identity, never read as a value. *)
+let unassigned = Value.VPtr { Value.block = min_int; path = [] }
+
+let operand_value (fr : Value.t array) = function
+  | Const v -> v
+  | Slot (i, r) ->
+      let v = Array.unsafe_get fr i in
+      if v == unassigned then Value.panic "read of unassigned register %%%s" r
+      else v
 
 let as_int = function
   | Value.VInt n -> n
@@ -75,99 +264,119 @@ let rec eval_icmp op a b =
   | Instr.Sgt -> VBool (as_int a > as_int b)
   | Instr.Sge -> VBool (as_int a >= as_int b)
 
+type observer =
+  string -> Instr.label -> (Instr.reg, Value.t) Hashtbl.t -> Value.memory -> unit
+
+type state = {
+  code : code;
+  mutable mem : Value.memory;
+  mutable fuel : int;
+  observer : observer option;
+}
+
+let tick st =
+  st.fuel <- st.fuel - 1;
+  if st.fuel <= 0 then raise Out_of_fuel
+
+(* The observer's view of a frame: the assigned slots by register name,
+   rebuilt at each block entry. *)
+let registers (f : func) (fr : Value.t array) =
+  let regs = Hashtbl.create 32 in
+  Array.iteri
+    (fun i v -> if v != unassigned then Hashtbl.replace regs f.slot_names.(i) v)
+    fr;
+  regs
+
 (* Execute [fn] on [args] in [memory]. Fuel bounds the total instruction
-   count, turning accidental non-termination into an exception rather
-   than a hang. [observer], if given, is called at every block entry
-   (before its instructions) with the function name, block label, live
-   frame registers, and current memory — the hook the static-analysis
+   count — one tick per Assign, Store and Call_void, and one per block —
+   turning accidental non-termination into an exception rather than a
+   hang. [observer], if given, is called at every block entry (before
+   its instructions) with the function name, block label, the frame's
+   assigned registers, and current memory — the hook the static-analysis
    soundness tests use to compare concrete runs against abstract
    states. *)
-let run ?(fuel = default_fuel)
-    ?(observer :
-       (string -> Instr.label -> (Instr.reg, Value.t) Hashtbl.t ->
-        Value.memory -> unit)
-       option) (p : Instr.program) ~(memory : Value.memory) ~(fn : string)
+let run ?(fuel = default_fuel) ?(observer : observer option)
+    (p : Instr.program) ~(memory : Value.memory) ~(fn : string)
     ~(args : Value.t list) : outcome =
-  let mem = ref memory in
-  let fuel = ref fuel in
-  let tick () =
-    decr fuel;
-    if !fuel <= 0 then raise Out_of_fuel
-  in
-  let observe f fr l =
-    match observer with
-    | Some obs -> obs f.Instr.fn_name l fr.regs !mem
-    | None -> ()
-  in
-  let rec call fn_name args : Value.t option =
-    let f = Instr.find_func p fn_name in
-    if List.length args <> List.length f.Instr.params then
-      Value.panic "arity mismatch calling %s" fn_name;
-    let fr = { regs = Hashtbl.create 32 } in
-    List.iter2
-      (fun (r, _ty) v -> Hashtbl.replace fr.regs r v)
-      f.Instr.params args;
-    exec_block f fr f.Instr.entry (Instr.find_block f f.Instr.entry)
-  and exec_block f fr label (b : Instr.block) : Value.t option =
-    observe f fr label;
-    List.iter (exec_instr fr) b.Instr.insns;
-    tick ();
-    match b.Instr.term with
-    | Instr.Br l -> exec_block f fr l (Instr.find_block f l)
-    | Instr.Cond_br (c, l1, l2) ->
-        let target = if as_bool (operand_value fr c) then l1 else l2 in
-        exec_block f fr target (Instr.find_block f target)
-    | Instr.Ret None -> None
-    | Instr.Ret (Some o) -> Some (operand_value fr o)
-    | Instr.Panic reason -> Value.panic "%s" reason
-    | Instr.Unreachable -> Value.panic "reached unreachable block"
+  let st = { code = resolved p; mem = memory; fuel; observer } in
+  let rec goto (f : func) (fr : Value.t array) t : Value.t option =
+    if t < 0 then
+      invalid_arg
+        (Printf.sprintf "Minir: no block %s in function %s"
+           f.missing.(-t - 1) f.name)
+    else exec_block f fr (Array.unsafe_get f.blocks t)
+  and exec_block f fr b =
+    (match st.observer with
+    | Some obs -> obs f.name b.label (registers f fr) st.mem
+    | None -> ());
+    let insns = b.insns in
+    for i = 0 to Array.length insns - 1 do
+      exec_instr fr (Array.unsafe_get insns i)
+    done;
+    tick st;
+    match b.term with
+    | Br t -> goto f fr t
+    | Cond_br (c, t1, t2) ->
+        goto f fr (if as_bool (operand_value fr c) then t1 else t2)
+    | Ret None -> None
+    | Ret (Some o) -> Some (operand_value fr o)
+    | Panic reason -> Value.panic "%s" reason
+    | Unreachable -> Value.panic "reached unreachable block"
+  (* Arguments are evaluated left to right before the callee is looked
+     up, straight into the callee's fresh frame. *)
+  and invoke fr fi name (args : operand array) : Value.t option =
+    let n = Array.length args in
+    if fi < 0 || n <> Array.length st.code.funcs.(fi).param_slots then begin
+      Array.iter (fun o -> ignore (operand_value fr o)) args;
+      if fi < 0 then invalid_arg ("Minir: unknown function " ^ name)
+      else Value.panic "arity mismatch calling %s" name
+    end
+    else begin
+      let f = st.code.funcs.(fi) in
+      let callee = Array.make (Array.length f.slot_names) unassigned in
+      for i = 0 to n - 1 do
+        callee.(f.param_slots.(i)) <- operand_value fr args.(i)
+      done;
+      goto f callee f.entry
+    end
   and exec_instr fr = function
-    | Instr.Assign (r, rv) ->
-        tick ();
+    | Assign (r, rv) ->
+        tick st;
         let v = eval_rvalue fr rv in
-        Hashtbl.replace fr.regs r v
-    | Instr.Store (_ty, v, ptr) ->
-        tick ();
+        Array.unsafe_set fr r v
+    | Store (v, ptr) ->
+        tick st;
         let p = as_ptr (operand_value fr ptr) in
-        mem := Value.store !mem p (Value.mval_of_value (operand_value fr v))
-    | Instr.Opaque_store _ ->
+        st.mem <- Value.store st.mem p (Value.mval_of_value (operand_value fr v))
+    | Opaque_store ->
         Value.panic "opaque store not resolved (run the Opaque pass)"
-    | Instr.Call_void (name, args) ->
-        tick ();
-        let vs = List.map (operand_value fr) args in
-        ignore (call name vs)
+    | Call_void (fi, name, args) ->
+        tick st;
+        ignore (invoke fr fi name args)
   and eval_rvalue fr = function
-    | Instr.Binop (op, a, b) ->
+    | Binop (op, a, b) ->
         eval_binop op (operand_value fr a) (operand_value fr b)
-    | Instr.Icmp (op, _ty, a, b) ->
-        eval_icmp op (operand_value fr a) (operand_value fr b)
-    | Instr.Not a -> Value.VBool (not (as_bool (operand_value fr a)))
-    | Instr.Alloca ty ->
-        (* Go zero-initializes locals, so stack slots start at their
-           type's default rather than undef. *)
-        let mem', ptr = Value.alloc !mem (Value.mval_default p.Instr.tenv ty) in
-        mem := mem';
+    | Icmp (op, a, b) -> eval_icmp op (operand_value fr a) (operand_value fr b)
+    | Not a -> Value.VBool (not (as_bool (operand_value fr a)))
+    | Alloc default ->
+        (* Go zero-initializes locals and `new` objects alike, so fresh
+           blocks start at their type's default rather than undef. *)
+        let mem', ptr = Value.alloc st.mem (Lazy.force default) in
+        st.mem <- mem';
         Value.VPtr ptr
-    | Instr.Newobject ty ->
-        let mem', ptr = Value.alloc !mem (Value.mval_default p.Instr.tenv ty) in
-        mem := mem';
-        Value.VPtr ptr
-    | Instr.Load (_ty, ptr) -> Value.load !mem (as_ptr (operand_value fr ptr))
-    | Instr.Gep (_pointee, base, indices) ->
+    | Load ptr -> Value.load st.mem (as_ptr (operand_value fr ptr))
+    | Gep (base, indices) ->
         let bp = as_ptr (operand_value fr base) in
-        let idx =
-          List.map (fun o -> as_int (operand_value fr o)) indices
-        in
+        let idx = List.map (fun o -> as_int (operand_value fr o)) indices in
         Value.VPtr { bp with Value.path = bp.Value.path @ idx }
-    | Instr.Call (name, args) -> (
-        let vs = List.map (operand_value fr) args in
-        match call name vs with
-        | Some v -> v
-        | None -> Value.VUnit)
-    | Instr.Bitcast _ | Instr.Byte_gep _ | Instr.Opaque_load _ ->
+    | Call (fi, name, args) -> (
+        match invoke fr fi name args with Some v -> v | None -> Value.VUnit)
+    | Opaque_op ->
         Value.panic "opaque pointer op not resolved (run the Opaque pass)"
   in
-  match call fn args with
-  | Some v -> Returned (Some v, !mem)
-  | None -> Returned (None, !mem)
+  let fi = Option.value (Hashtbl.find_opt st.code.by_name fn) ~default:(-1) in
+  let args = Array.of_list (List.map (fun v -> Const v) args) in
+  match invoke [||] fi fn args with
+  | Some v -> Returned (Some v, st.mem)
+  | None -> Returned (None, st.mem)
   | exception Value.Runtime_panic msg -> Panicked msg

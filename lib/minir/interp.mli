@@ -1,27 +1,27 @@
 (* Concrete Minir interpreter.
 
    The reference executor: it replays counterexample queries produced by
-   the refinement checker against the real engine code, and it powers the
+   the refinement checker against the real engine code, it powers the
    differential tests (engine vs. top-level specification on random
-   zones). Opaque-pointer instructions must be resolved by [Opaque] first;
-   the interpreter rejects them. *)
+   zones), and it answers every query `dnsv serve` receives. Opaque-pointer
+   instructions must be resolved by [Opaque] first; the interpreter
+   rejects them. Each program is resolved to index-addressed code once
+   per domain (memoised by physical identity), so repeated runs of one
+   program look up no names. *)
 
 type outcome =
     Returned of Value.t option * Value.memory
   | Panicked of string
+
+(* Raised when a run exhausts its fuel: one tick per Assign, Store and
+   Call_void, and one per block executed. *)
 exception Out_of_fuel
+
 val default_fuel : int
-type frame = { regs : (Instr.reg, Value.t) Hashtbl.t; }
-val operand_value : frame -> Instr.operand -> Value.t
-val as_int : Value.t -> int
-val as_bool : Value.t -> bool
-val as_ptr : Value.t -> Value.ptr
-val eval_binop :
-  Instr.binop -> Value.t -> Value.t -> Value.t
-val eval_icmp :
-  Instr.icmp -> Value.t -> Value.t -> Value.t
+
 (* [observer] fires at every block entry (before its instructions) with
-   the function name, block label, live frame registers, and current
+   the function name, block label, the frame's assigned registers (a
+   fresh table, built only when an observer is given), and current
    memory; used by the static-analysis soundness tests. *)
 val run :
   ?fuel:int ->

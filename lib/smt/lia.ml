@@ -60,7 +60,7 @@ let combine2 f a b =
 
 let check_cert (atoms : Linear.atom list) : cert_result =
   (* Partition atoms; constant atoms decide immediately. *)
-  let rows = ref [] and neqs = ref [] in
+  let rows = ref [] and neqs = ref [] and zero_neq = ref None in
   let add_row i is_eq lin =
     match Linear.const_value lin with
     | Some c ->
@@ -81,15 +81,7 @@ let check_cert (atoms : Linear.atom list) : cert_result =
         | Linear.Eq_zero lin -> add_row i true lin
         | Linear.Neq_zero lin -> (
             match Linear.const_value lin with
-            | Some 0 ->
-                (* lin is the constant 0, so both tightenings are the
-                   contradictions 1 ≤ 0 and 1 ≤ 0. *)
-                raise
-                  (Trivially_unsat
-                     (P_split
-                        ( i,
-                          P_farkas [ (F_neq_le i, Q.one) ],
-                          P_farkas [ (F_neq_ge i, Q.one) ] )))
+            | Some 0 -> if !zero_neq = None then zero_neq := Some i
             | Some _ -> ()
             | None -> neqs := (lin, i) :: !neqs))
       atoms;
@@ -306,7 +298,21 @@ let check_cert (atoms : Linear.atom list) : cert_result =
     in
     let init_bounds = Array.make nvars Simplex.no_bound in
     let init_prov = Array.make nvars (None, None) in
-    branch init_bounds init_prov [] neqs 0
+    match (branch init_bounds init_prov [] neqs 0, !zero_neq) with
+    | (Csat _ | Cunknown), Some i ->
+        (* A disequality whose difference is the constant 0 refutes the
+           conjunction on its own (both tightenings read 1 ≤ 0), but the
+           certificate checker rejects a split on an identically-zero
+           difference. So it is the last resort: a refutation of the
+           other atoms is preferred, which keeps every extension of a
+           certifiably refuted conjunction certifiable. *)
+        Cunsat
+          (Some
+             (P_split
+                ( i,
+                  P_farkas [ (F_neq_le i, Q.one) ],
+                  P_farkas [ (F_neq_ge i, Q.one) ] )))
+    | r, _ -> r
   with Trivially_unsat p -> Cunsat (Some p)
 
 let check (atoms : Linear.atom list) : result =

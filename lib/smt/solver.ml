@@ -1036,12 +1036,22 @@ module Incremental = struct
   let depth (s : t) = List.length s.frames
   let terms (s : t) = List.concat_map (fun f -> f.terms) s.frames
 
-  let mark_unsat (s : t) cert =
-    match s.frames with
-    | [] -> ()
-    | f :: _ ->
-        f.unsat <- true;
-        f.unsat_cert <- cert
+  (* Answer Unsat for the whole stack, remembering the refutation on the
+     newest frame only once its certificate has validated. A certificate
+     the checker rejects degrades this answer to Unknown, and it must not
+     also short-circuit every extension: a longer stack may hold a
+     refutation that does check out, which a monolithic [check] of the
+     same conjunction would find. *)
+  let refute (s : t) cert : result =
+    match validate (terms s) (Unsat, cert) with
+    | Unsat ->
+        (match s.frames with
+        | [] -> ()
+        | f :: _ ->
+            f.unsat <- true;
+            f.unsat_cert <- cert);
+        Unsat
+    | r -> r
 
   let solve (s : t) : result =
     let r =
@@ -1068,22 +1078,15 @@ module Incremental = struct
               M.incr c_fast_path;
               let atoms = List.concat_map (fun f -> f.atoms) s.frames in
               let bools = List.concat_map (fun f -> f.bools) s.frames in
-              if contradictory_bools bools then begin
-                let cert = Some (bool_contradiction_cert bools) in
-                mark_unsat s cert;
-                validate (terms s) (Unsat, cert)
-              end
+              if contradictory_bools bools then
+                refute s (Some (bool_contradiction_cert bools))
               else
                 match lia_check_cached atoms with
                 | Lia.Sat m, _ ->
                     let model = model_of_lia_model m bools in
                     validate (terms s) (Sat model, Some (Proof.Model_witness model))
                 | Lia.Unsat, tree ->
-                    let cert =
-                      Option.map (fun t -> Proof.Unsat_witness t) tree
-                    in
-                    mark_unsat s cert;
-                    validate (terms s) (Unsat, cert)
+                    refute s (Option.map (fun t -> Proof.Unsat_witness t) tree)
                 | Lia.Unknown, _ -> Unknown
             end
     in

@@ -467,6 +467,205 @@ let test_parsed_program_compiles_and_runs () =
   let prog = Golite.Compile.compile (Golite.Parse.program_of_string_exn src) in
   check_int "parsed program runs" 42 (run_int prog "main" [])
 
+(* ------------------------------------------------------------------ *)
+(* The executor's contract, on hand-built Minir                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Fuel, error messages and block-entry observations are part of what
+   callers rely on (counterexample replay classifies Out_of_fuel, the
+   serve path reports panic messages, the analysis soundness tests read
+   the observer's frames), so they are pinned here on programs small
+   enough to count by hand. *)
+module Executor = struct
+  open Stdlib
+
+  let blk insns term = { Instr.insns; term }
+
+  let fn ?(params = []) ?ret name entry blocks =
+    { Instr.fn_name = name; params; ret_ty = ret; entry; blocks }
+
+  let prog funcs = { Instr.tenv = []; funcs }
+  let r x = Instr.Reg x
+
+  (* main(n): i := 0; while i < n { i := inc(i); nop() }; return i *)
+  let counter =
+    prog
+      [
+        fn "inc" ~params:[ ("x", Ty.I64) ] ~ret:Ty.I64 "e"
+          [
+            ( "e",
+              blk
+                [ Instr.Assign ("y", Instr.Binop (Instr.Add, r "x", Instr.Const_int 1)) ]
+                (Instr.Ret (Some (r "y"))) );
+          ];
+        fn "nop" "e" [ ("e", blk [] (Instr.Ret None)) ];
+        fn "main" ~params:[ ("n", Ty.I64) ] ~ret:Ty.I64 "entry"
+          [
+            ( "entry",
+              blk
+                [
+                  Instr.Assign ("i", Instr.Alloca Ty.I64);
+                  Instr.Store (Ty.I64, Instr.Const_int 0, r "i");
+                ]
+                (Instr.Br "head") );
+            ( "head",
+              blk
+                [
+                  Instr.Assign ("c", Instr.Load (Ty.I64, r "i"));
+                  Instr.Assign ("k", Instr.Icmp (Instr.Slt, Ty.I64, r "c", r "n"));
+                ]
+                (Instr.Cond_br (r "k", "body", "exit")) );
+            ( "body",
+              blk
+                [
+                  Instr.Assign ("c2", Instr.Call ("inc", [ r "c" ]));
+                  Instr.Store (Ty.I64, r "c2", r "i");
+                  Instr.Call_void ("nop", []);
+                ]
+                (Instr.Br "head") );
+            ( "exit",
+              blk
+                [ Instr.Assign ("res", Instr.Load (Ty.I64, r "i")) ]
+                (Instr.Ret (Some (r "res"))) );
+          ];
+      ]
+
+  let run ?fuel ?observer p fn args =
+    Interp.run ?fuel ?observer p ~memory:Value.empty_memory ~fn ~args
+
+  (* One tick per Assign/Store/Call_void and one per block executed:
+     entry 3, each head 3 (n+1 visits), each body 7 (Assign, Store,
+     Call_void, the block, inc's Assign and block, nop's block), exit 2.
+     A run of T ticks needs fuel T+1. *)
+  let test_fuel () =
+    let n = 5 in
+    let ticks = (10 * n) + 8 in
+    (match run ~fuel:(ticks + 1) counter "main" [ Value.VInt n ] with
+    | Interp.Returned (Some (Value.VInt k), _) -> check_int "result" n k
+    | _ -> Alcotest.fail "expected the counter to return n");
+    match run ~fuel:ticks counter "main" [ Value.VInt n ] with
+    | exception Interp.Out_of_fuel -> ()
+    | _ -> Alcotest.fail "expected Out_of_fuel one tick short"
+
+  let one_block ?(params = []) insns term =
+    prog
+      [
+        fn "main" ~params "entry" [ ("entry", blk insns term) ];
+        fn "inc" ~params:[ ("x", Ty.I64) ] ~ret:Ty.I64 "e"
+          [ ("e", blk [] (Instr.Ret (Some (r "x")))) ];
+      ]
+
+  let panics name p fn args expected =
+    match run p fn args with
+    | Interp.Panicked msg -> Alcotest.(check string) name expected msg
+    | Interp.Returned _ -> Alcotest.failf "%s: expected a panic" name
+
+  let invalid name f expected =
+    match f () with
+    | exception Invalid_argument msg -> Alcotest.(check string) name expected msg
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+
+  let test_messages () =
+    panics "unassigned register"
+      (one_block [] (Instr.Ret (Some (r "ghost"))))
+      "main" [] "read of unassigned register %ghost";
+    (* Binary operands are read right to left. *)
+    panics "operand order"
+      (one_block
+         [ Instr.Assign ("s", Instr.Binop (Instr.Add, r "a", r "b")) ]
+         (Instr.Ret None))
+      "main" [] "read of unassigned register %b";
+    panics "arity mismatch (call)"
+      (one_block [ Instr.Assign ("s", Instr.Call ("inc", [])) ] (Instr.Ret None))
+      "main" [] "arity mismatch calling inc";
+    panics "arity mismatch (entry)" counter "main" [] "arity mismatch calling main";
+    (* Arguments are evaluated before the callee is looked up. *)
+    panics "arguments before callee"
+      (one_block [ Instr.Call_void ("nosuch", [ r "ghost" ]) ] (Instr.Ret None))
+      "main" [] "read of unassigned register %ghost";
+    invalid "unknown function"
+      (fun () ->
+        run (one_block [ Instr.Call_void ("nosuch", []) ] (Instr.Ret None)) "main" [])
+      "Minir: unknown function nosuch";
+    invalid "unknown entry function"
+      (fun () -> run counter "nosuch" [])
+      "Minir: unknown function nosuch";
+    invalid "missing label"
+      (fun () -> run (one_block [] (Instr.Br "nowhere")) "main" [])
+      "Minir: no block nowhere in function main";
+    invalid "missing entry label"
+      (fun () -> run (prog [ fn "main" "start" [] ]) "main" [])
+      "Minir: no block start in function main";
+    (* Only the branch taken is looked up. *)
+    (match
+       run
+         (prog
+            [
+              fn "main" "entry"
+                [
+                  ("entry", blk [] (Instr.Cond_br (Instr.Const_bool true, "ok", "nowhere")));
+                  ("ok", blk [] (Instr.Ret (Some (Instr.Const_int 7))));
+                ];
+            ])
+         "main" []
+     with
+    | Interp.Returned (Some (Value.VInt 7), _) -> ()
+    | _ -> Alcotest.fail "the untaken missing label must not be looked up");
+    panics "opaque op"
+      (one_block
+         [ Instr.Assign ("q", Instr.Bitcast (Instr.Null (Ty.Ptr Ty.I64))) ]
+         (Instr.Ret None))
+      "main" [] "opaque pointer op not resolved (run the Opaque pass)";
+    panics "opaque store"
+      (one_block
+         [
+           Instr.Opaque_store
+             (Ty.I64, Instr.Const_int 1, Instr.Null Ty.Opaque_ptr);
+         ]
+         (Instr.Ret None))
+      "main" [] "opaque store not resolved (run the Opaque pass)";
+    panics "panic block"
+      (one_block [] (Instr.Panic "index out of range"))
+      "main" [] "index out of range";
+    panics "unreachable"
+      (one_block [] Instr.Unreachable)
+      "main" [] "reached unreachable block"
+
+  (* Every block entry, with the frame's registers sorted as strings. *)
+  let test_observer () =
+    let seen = ref [] in
+    let observer fn label regs _mem =
+      let bindings =
+        Hashtbl.fold
+          (fun r v acc -> Format.asprintf "%s=%a" r Value.pp v :: acc)
+          regs []
+      in
+      seen :=
+        Printf.sprintf "%s/%s {%s}" fn label
+          (String.concat " " (List.sort compare bindings))
+        :: !seen
+    in
+    (match run ~observer counter "main" [ Value.VInt 2 ] with
+    | Interp.Returned (Some (Value.VInt 2), _) -> ()
+    | _ -> Alcotest.fail "expected the counter to return 2");
+    Alcotest.(check (list string))
+      "observed block entries"
+      [
+        "main/entry {n=2}";
+        "main/head {i=&0 n=2}";
+        "main/body {c=0 i=&0 k=true n=2}";
+        "inc/e {x=0}";
+        "nop/e {}";
+        "main/head {c2=1 c=0 i=&0 k=true n=2}";
+        "main/body {c2=1 c=1 i=&0 k=true n=2}";
+        "inc/e {x=1}";
+        "nop/e {}";
+        "main/head {c2=2 c=1 i=&0 k=true n=2}";
+        "main/exit {c2=2 c=2 i=&0 k=false n=2}";
+      ]
+      (List.rev !seen)
+end
+
 let () =
   Alcotest.run "golite"
     [
@@ -498,6 +697,12 @@ let () =
         [
           Alcotest.test_case "resolution" `Quick test_opaque_resolution;
           Alcotest.test_case "pretty printer" `Quick test_pretty_printer_smoke;
+        ] );
+      ( "executor",
+        [
+          Alcotest.test_case "fuel ticks" `Quick Executor.test_fuel;
+          Alcotest.test_case "error messages" `Quick Executor.test_messages;
+          Alcotest.test_case "observer sequence" `Quick Executor.test_observer;
         ] );
       ( "syntax",
         [

@@ -242,6 +242,19 @@ let prop_check_pc_matches_monolithic =
             (Solver.check !pc))
         lits)
 
+(* Seeds 6 and 11 once drove the two sides apart: a conjunction whose
+   only refutation was a disequality with an identically-zero
+   difference got a certificate the checker rejects (Unknown), the
+   stack kept that rejected refutation for every extension, and the
+   monolithic check of a longer, certifiably refuted walk said Unsat.
+   Both properties run in order from cold result caches, as a
+   [QCHECK_SEED=N ... test incremental] run does. *)
+let test_seeded_walks seed () =
+  Solver.clear_caches ();
+  List.iter
+    (fun prop -> QCheck.Test.check_exn ~rand:(Random.State.make [| seed |]) prop)
+    [ prop_incremental_matches_monolithic; prop_check_pc_matches_monolithic ]
+
 (* The stack must stay correct with the optimization switched off (the
    benchmark's seed-equivalent mode falls back to monolithic checks). *)
 let test_incremental_switch () =
@@ -347,6 +360,10 @@ let () =
         @ [
             Alcotest.test_case "switches preserve verdicts" `Quick
               test_incremental_switch;
+            Alcotest.test_case "seed 6 walks agree (regression)" `Quick
+              (test_seeded_walks 6);
+            Alcotest.test_case "seed 11 walks agree (regression)" `Quick
+              (test_seeded_walks 11);
           ] );
       ("cache", qcheck [ prop_cached_verdicts_stable ]);
       ( "parallel",
