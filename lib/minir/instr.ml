@@ -82,6 +82,59 @@ let find_block (f : func) label =
         (Printf.sprintf "Minir: no block %s in function %s" label f.fn_name)
 
 (* ------------------------------------------------------------------ *)
+(* Resolving a program once                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Names to indices, first occurrence winning as in [find_func] and
+   [find_block]. *)
+let index_first (names : string list) : (string, int) Hashtbl.t =
+  let tbl = Hashtbl.create 64 in
+  List.iteri
+    (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name i)
+    names;
+  tbl
+
+let block_indexer (f : func) : (label -> int) * (unit -> label array) =
+  let labels = index_first (List.map fst f.blocks) in
+  let missing = ref [] in
+  let target l =
+    match Hashtbl.find_opt labels l with
+    | Some i -> i
+    | None ->
+        let rec find i = function
+          | [] ->
+              missing := !missing @ [ l ];
+              -List.length !missing
+          | m :: rest -> if m = l then -(i + 1) else find (i + 1) rest
+        in
+        find 0 !missing
+  in
+  (target, fun () -> Array.of_list !missing)
+
+(* The table is weak in the program: resolved code lives exactly as
+   long as its program, so a program dropped by its owner (a cleared
+   compile memo, a test's throwaway program) takes its resolved code
+   with it. *)
+let per_program (type a) (resolve : program -> a) : program -> a =
+  let module Memo = Ephemeron.K1.Make (struct
+    type t = program
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end) in
+  let key : a Memo.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Memo.create 8)
+  in
+  fun p ->
+    let memo = Domain.DLS.get key in
+    match Memo.find_opt memo p with
+    | Some c -> c
+    | None ->
+        let c = resolve p in
+        Memo.replace memo p c;
+        c
+
+(* ------------------------------------------------------------------ *)
 (* Static measures used by the evaluation reporting (Table 3).        *)
 (* ------------------------------------------------------------------ *)
 

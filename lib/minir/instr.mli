@@ -51,6 +51,25 @@ type func = {
 type program = { tenv : Ty.tenv; funcs : func list; }
 val find_func : program -> string -> func
 val find_block : func -> label -> block
+
+(* Resolving a program once, for the executors that run index-addressed
+   code (the concrete interpreter, the symbolic executor). *)
+
+(* Names to their indices in the list; the first occurrence wins, as in
+   [find_func] and [find_block]. *)
+val index_first : string list -> (string, int) Hashtbl.t
+
+(* [block_indexer f] resolves labels of [f] to indices into [f.blocks].
+   A label with no block resolves to a negative index [-(i + 1)], naming
+   entry [i] of the array the second function returns once every label
+   is resolved: the executor raises "no block" when it branches there,
+   where a by-name lookup would have failed. *)
+val block_indexer : func -> (label -> int) * (unit -> label array)
+
+(* [per_program resolve] is [resolve] memoised per domain by the
+   program's physical identity (programs are immutable values), weakly:
+   the resolved value lives as long as its program. *)
+val per_program : (program -> 'a) -> program -> 'a
 val func_instruction_count : func -> int
 val program_instruction_count : program -> int
 val panic_count : func -> int

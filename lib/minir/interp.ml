@@ -69,15 +69,6 @@ type func = {
 
 type code = { funcs : func array; by_name : (string, int) Hashtbl.t }
 
-(* First occurrence wins, as in the by-name lookups [Instr.find_func]
-   and [Instr.find_block]. *)
-let index_first (names : string list) : (string, int) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iteri
-    (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name i)
-    names;
-  tbl
-
 (* Default values are computed once per type and shared by every
    allocation of that type. Sharing is safe because memory values are
    never mutated in place: [Value.store] rebuilds the path it writes
@@ -85,7 +76,9 @@ let index_first (names : string list) : (string, int) Hashtbl.t =
    into one allocation can never show through another. Forced lazily so
    a type error in an allocation surfaces when (and only if) it runs. *)
 let resolve (p : Instr.program) : code =
-  let by_name = index_first (List.map (fun f -> f.Instr.fn_name) p.Instr.funcs) in
+  let by_name =
+    Instr.index_first (List.map (fun f -> f.Instr.fn_name) p.Instr.funcs)
+  in
   let defaults = Hashtbl.create 16 in
   let default ty =
     match Hashtbl.find_opt defaults ty with
@@ -97,20 +90,7 @@ let resolve (p : Instr.program) : code =
   in
   let callee name = Option.value (Hashtbl.find_opt by_name name) ~default:(-1) in
   let resolve_func (f : Instr.func) : func =
-    let labels = index_first (List.map fst f.Instr.blocks) in
-    let missing = ref [] in
-    let target l =
-      match Hashtbl.find_opt labels l with
-      | Some i -> i
-      | None ->
-          let rec find i = function
-            | [] ->
-                missing := !missing @ [ l ];
-                -List.length !missing
-            | m :: rest -> if m = l then -(i + 1) else find (i + 1) rest
-          in
-          find 0 !missing
-    in
+    let target, missing = Instr.block_indexer f in
     let slots = Hashtbl.create 32 and names = ref [] in
     let slot r =
       match Hashtbl.find_opt slots r with
@@ -170,34 +150,14 @@ let resolve (p : Instr.program) : code =
       slot_names = Array.of_list (List.rev !names);
       entry;
       blocks;
-      missing = Array.of_list !missing;
+      missing = missing ();
     }
   in
   { funcs = Array.of_list (List.map resolve_func p.Instr.funcs); by_name }
 
 (* Resolved code, memoised per domain by the program's physical
-   identity (programs are immutable values). The table is weak in the
-   program: resolved code lives exactly as long as its program, so a
-   program dropped by its owner (a cleared compile memo, a test's
-   throwaway program) takes its resolved code with it. *)
-module Memo = Ephemeron.K1.Make (struct
-  type t = Instr.program
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let memo_key : code Memo.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Memo.create 8)
-
-let resolved (p : Instr.program) : code =
-  let memo = Domain.DLS.get memo_key in
-  match Memo.find_opt memo p with
-  | Some c -> c
-  | None ->
-      let c = resolve p in
-      Memo.replace memo p c;
-      c
+   identity. *)
+let resolved : Instr.program -> code = Instr.per_program resolve
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)

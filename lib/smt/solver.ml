@@ -243,6 +243,35 @@ let persist_hook : persist option Atomic.t = Atomic.make None
 let set_persist p = Atomic.set persist_hook p
 let persist_installed () = Atomic.get persist_hook
 
+(* Both tables hash the whole key. The polymorphic [Hashtbl.hash] stops
+   after 10 meaningful words, the first atom or two of a sorted
+   conjunction, and path conditions share those prefixes: it sends most
+   keys of a run to a few buckets, and every lookup then walks a long
+   chain of structural compares. *)
+module Lia_tbl = Hashtbl.Make (struct
+  type t = Linear.key list
+
+  let equal = ( = )
+
+  let hash (keys : t) =
+    List.fold_left
+      (fun h ((tag, const, coeffs) : Linear.key) ->
+        List.fold_left
+          (fun h (x, k) -> Hashtbl.seeded_hash (Hashtbl.seeded_hash h x) k)
+          (Hashtbl.seeded_hash (Hashtbl.seeded_hash h tag) const)
+          coeffs)
+      0 keys
+end)
+
+module Full_tbl = Hashtbl.Make (struct
+  type t = Term.t list
+
+  let equal = List.equal Term.equal
+
+  let hash (ts : t) =
+    List.fold_left (fun h t -> Hashtbl.seeded_hash h (Term.hash t)) 0 ts
+end)
+
 (* Two memo tables, both keyed on canonical forms:
 
    - [lia]: sorted+deduped [Linear.key_of_atom] lists — the literal
@@ -263,20 +292,24 @@ let persist_installed () = Atomic.get persist_hook
    hit's certificate is re-validated before the cached answer is
    trusted. *)
 type cache = {
-  lia : (Linear.key list, Lia.result * Lia.proof option) Hashtbl.t;
-  full : (Term.t list, result * Proof.t option) Hashtbl.t;
+  lia : (Lia.result * Lia.proof option) Lia_tbl.t;
+  full : (result * Proof.t option) Full_tbl.t;
 }
 
 let cache_key : cache Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { lia = Hashtbl.create 1024; full = Hashtbl.create 256 })
+      { lia = Lia_tbl.create 1024; full = Full_tbl.create 256 })
 
 let cache_limit = 1 lsl 16
 
 let clear_caches () =
   let c = Domain.DLS.get cache_key in
-  Hashtbl.reset c.lia;
-  Hashtbl.reset c.full
+  Lia_tbl.reset c.lia;
+  Full_tbl.reset c.full
+
+let cache_stats () =
+  let c = Domain.DLS.get cache_key in
+  [ ("lia", Lia_tbl.stats c.lia); ("full", Full_tbl.stats c.full) ]
 
 exception Not_conjunctive
 
@@ -394,7 +427,7 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
   else begin
     let key = List.map fst keyed in
     let c = Domain.DLS.get cache_key in
-    match Hashtbl.find_opt c.lia key with
+    match Lia_tbl.find_opt c.lia key with
     | Some (r, p) ->
         M.incr c_cache_hits;
         let r, p =
@@ -405,7 +438,7 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
               | Lia.Unsat | Lia.Unknown ->
                   (Lia.Sat Lia.String_map.empty, None)
             in
-            Hashtbl.replace c.lia key poisoned;
+            Lia_tbl.replace c.lia key poisoned;
             poisoned
           end
           else (r, p)
@@ -446,8 +479,8 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
             (match r with
             | Lia.Unknown -> ()
             | _ ->
-                if Hashtbl.length c.lia >= cache_limit then Hashtbl.reset c.lia;
-                Hashtbl.add c.lia key (r, p));
+                if Lia_tbl.length c.lia >= cache_limit then Lia_tbl.reset c.lia;
+                Lia_tbl.add c.lia key (r, p));
             let anchored = anchor p in
             (match persist_installed () with
             | None -> ()
@@ -838,7 +871,7 @@ let check_dpllt_cert (ts : Term.t list) : result * Proof.t option =
   else begin
     let key = List.sort_uniq compare ts in
     let c = Domain.DLS.get cache_key in
-    match Hashtbl.find_opt c.full key with
+    match Full_tbl.find_opt c.full key with
     | Some (r, p) ->
         M.incr c_cache_hits;
         if Faultinject.fire Faultinject.Cache_corrupt then begin
@@ -847,7 +880,7 @@ let check_dpllt_cert (ts : Term.t list) : result * Proof.t option =
             | Sat _ -> (Unsat, p)
             | Unsat | Unknown -> (Sat Model.empty, None)
           in
-          Hashtbl.replace c.full key poisoned;
+          Full_tbl.replace c.full key poisoned;
           poisoned
         end
         else (r, p)
@@ -874,8 +907,8 @@ let check_dpllt_cert (ts : Term.t list) : result * Proof.t option =
         (match fst rp with
         | Unknown -> ()
         | _ ->
-            if Hashtbl.length c.full >= cache_limit then Hashtbl.reset c.full;
-            Hashtbl.add c.full key rp;
+            if Full_tbl.length c.full >= cache_limit then Full_tbl.reset c.full;
+            Full_tbl.add c.full key rp;
             if not served then
               match persist_installed () with
               | None -> ()

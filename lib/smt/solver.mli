@@ -50,6 +50,11 @@ val set_caching : bool -> unit
 val caching_enabled : unit -> bool
 val clear_caches : unit -> unit
 
+(* Bucket statistics of this domain's result-cache tables, by name
+   ("lia": literal conjunctions, "full": the general DPLL(T) path).
+   Read-only: for tests and diagnostics. *)
+val cache_stats : unit -> (string * Hashtbl.statistics) list
+
 (* Incremental-stack switch (on by default). When off, [Incremental]
    checks degrade to monolithic [check]s of their full term list — the
    pre-optimization behavior, kept for before/after measurement. *)

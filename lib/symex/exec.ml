@@ -15,11 +15,77 @@ module Value = Minir.Value
 module Typing = Minir.Typing
 
 type path = { pc : Term.t list; mem : Sval.memory }
+
+(* A program is resolved once, memoised per domain by its physical
+   identity as the concrete interpreter's is: callee names become
+   indices into [funcs] and branch labels indices into the function's
+   [blocks]. An unknown callee or a missing label resolves to a negative
+   index and raises where the by-name lookup did. Blocks keep their
+   [Instr.block], whose physical identity keys the analysis's branch
+   facts. *)
+type rblock = {
+  block : Instr.block;
+  insns : (Instr.instr * int) array; (* with the callee index of a call *)
+  targets : int array; (* the terminator's labels, in order *)
+}
+
+type rfunc = {
+  func : Instr.func;
+  arity : int;
+  entry : int;
+  blocks : rblock array;
+  missing : Instr.label array; (* target [t < 0] is [missing.(-t - 1)] *)
+}
+
+type code = { funcs : rfunc array; by_name : (string, int) Hashtbl.t }
+
+let resolve (p : Instr.program) : code =
+  let by_name =
+    Instr.index_first (List.map (fun f -> f.Instr.fn_name) p.Instr.funcs)
+  in
+  let callee name = Option.value (Hashtbl.find_opt by_name name) ~default:(-1) in
+  let insn (i : Instr.instr) =
+    match i with
+    | Instr.Call_void (name, _) | Instr.Assign (_, Instr.Call (name, _)) ->
+        (i, callee name)
+    | _ -> (i, -1)
+  in
+  let resolve_func (f : Instr.func) =
+    let target, missing = Instr.block_indexer f in
+    let blocks =
+      Array.of_list
+        (List.map
+           (fun (_, (b : Instr.block)) ->
+             {
+               block = b;
+               insns = Array.of_list (List.map insn b.Instr.insns);
+               targets =
+                 (match b.Instr.term with
+                 | Instr.Br l -> [| target l |]
+                 | Instr.Cond_br (_, l1, l2) -> [| target l1; target l2 |]
+                 | Instr.Ret _ | Instr.Panic _ | Instr.Unreachable -> [||]);
+             })
+           f.Instr.blocks)
+    in
+    let entry = target f.Instr.entry in
+    {
+      func = f;
+      arity = List.length f.Instr.params;
+      entry;
+      blocks;
+      missing = missing ();
+    }
+  in
+  { funcs = Array.of_list (List.map resolve_func p.Instr.funcs); by_name }
+
+let resolved : Instr.program -> code = Instr.per_program resolve
+
 type outcome = Returned of Sval.sval option | Panicked of string
 type result = (path * outcome) list
 
 type ctx = {
   prog : Instr.program;
+  code : code; (* [prog], resolved *)
   mutable intercepts : (string * intercept) list;
   mutable steps : int;
   max_steps : int;
@@ -89,6 +155,7 @@ let create ?(max_steps = default_max_steps) ?budget ?(intercepts = [])
     ?(analysis = Analysis.Off) ?env prog =
   {
     prog;
+    code = resolved prog;
     intercepts;
     steps = 0;
     max_steps;
@@ -469,71 +536,79 @@ let rec resolve_gep ctx (path : path) (ty : Ty.t) (base : Value.ptr)
           | _ -> Sval.error "symbolic struct field index")
       | _ -> Sval.error "gep into scalar type")
 
-let rec exec_call (ctx : ctx) (path : path) (fn_name : string)
+let rec exec_call (ctx : ctx) (path : path) (fn_name : string) (fi : int)
     (args : Sval.sval list) : result =
   match List.assoc_opt fn_name ctx.intercepts with
   | Some handler -> handler ctx path args
   | None ->
-      let f = Instr.find_func ctx.prog fn_name in
-      if List.length args <> List.length f.Instr.params then
+      if fi < 0 then invalid_arg ("Minir: unknown function " ^ fn_name);
+      let rf = ctx.code.funcs.(fi) in
+      if List.length args <> rf.arity then
         Sval.error "arity mismatch calling %s" fn_name;
       let regs =
         List.fold_left2
           (fun m (r, _) v -> Regs.add r v m)
-          Regs.empty f.Instr.params args
+          Regs.empty rf.func.Instr.params args
       in
-      exec_block ctx path f regs (Instr.find_block f f.Instr.entry)
+      goto ctx path rf regs rf.entry
 
-and exec_block ctx path f regs (b : Instr.block) : result =
-  exec_insns ctx path regs b.Instr.insns (fun path regs ->
+and goto ctx path rf regs t : result =
+  if t < 0 then
+    invalid_arg
+      (Printf.sprintf "Minir: no block %s in function %s" rf.missing.(-t - 1)
+         rf.func.Instr.fn_name)
+  else exec_block ctx path rf regs rf.blocks.(t)
+
+and exec_block ctx path rf regs (rb : rblock) : result =
+  exec_insns ctx path regs rb.insns 0 (fun path regs ->
       tick ctx;
-      match b.Instr.term with
-      | Instr.Br l -> exec_block ctx path f regs (Instr.find_block f l)
-      | Instr.Cond_br (c, l1, l2) ->
+      match rb.block.Instr.term with
+      | Instr.Br _ -> goto ctx path rf regs rb.targets.(0)
+      | Instr.Cond_br (c, _, _) ->
           let t = as_bool_term (operand_value regs c) in
-          fork_branch ctx path f b t
-            ~then_:(fun path -> exec_block ctx path f regs (Instr.find_block f l1))
-            ~else_:(fun path -> exec_block ctx path f regs (Instr.find_block f l2))
+          fork_branch ctx path rf.func rb.block t
+            ~then_:(fun path -> goto ctx path rf regs rb.targets.(0))
+            ~else_:(fun path -> goto ctx path rf regs rb.targets.(1))
       | Instr.Ret None -> [ (path, Returned None) ]
       | Instr.Ret (Some o) -> [ (path, Returned (Some (operand_value regs o))) ]
       | Instr.Panic reason -> [ (path, Panicked reason) ]
       | Instr.Unreachable -> [ (path, Panicked "reached unreachable block") ])
 
-(* Execute a straight-line instruction list, forking as needed, then
-   continue with [k]. *)
-and exec_insns ctx path regs (insns : Instr.instr list)
+(* Execute the straight-line instructions of a block from [i] on,
+   forking as needed, then continue with [k]. *)
+and exec_insns ctx path regs (insns : (Instr.instr * int) array) i
     (k : path -> regs -> result) : result =
-  match insns with
-  | [] -> k path regs
-  | insn :: rest -> (
-      tick ctx;
-      let continue_ path regs = exec_insns ctx path regs rest k in
-      match insn with
-      | Instr.Assign (r, rv) ->
-          eval_rvalue ctx path regs rv (fun path v ->
-              continue_ path (Regs.add r v regs))
-      | Instr.Store (_ty, vo, po) -> (
-          let v = operand_value regs vo in
-          match operand_value regs po with
-          | Sval.SPtr p ->
-              continue_
-                { path with mem = Sval.store path.mem p (Sval.scell_of_sval v) }
-                regs
-          | Sval.SNull -> [ (path, Panicked "nil store") ]
-          | _ -> Sval.error "store through non-pointer")
-      | Instr.Opaque_store _ ->
-          Sval.error "opaque store not resolved (run the Opaque pass)"
-      | Instr.Call_void (name, args) ->
-          let vs = List.map (operand_value regs) args in
-          let results = exec_call ctx path name vs in
-          List.concat_map
-            (fun (path', outcome) ->
-              match outcome with
-              | Returned _ -> continue_ path' regs
-              | Panicked m -> [ (path', Panicked m) ])
-            results)
+  if i = Array.length insns then k path regs
+  else begin
+    tick ctx;
+    let continue_ path regs = exec_insns ctx path regs insns (i + 1) k in
+    match insns.(i) with
+    | Instr.Assign (r, rv), callee ->
+        eval_rvalue ctx path regs rv callee (fun path v ->
+            continue_ path (Regs.add r v regs))
+    | Instr.Store (_ty, vo, po), _ -> (
+        let v = operand_value regs vo in
+        match operand_value regs po with
+        | Sval.SPtr p ->
+            continue_
+              { path with mem = Sval.store path.mem p (Sval.scell_of_sval v) }
+              regs
+        | Sval.SNull -> [ (path, Panicked "nil store") ]
+        | _ -> Sval.error "store through non-pointer")
+    | Instr.Opaque_store _, _ ->
+        Sval.error "opaque store not resolved (run the Opaque pass)"
+    | Instr.Call_void (name, args), callee ->
+        let vs = List.map (operand_value regs) args in
+        let results = exec_call ctx path name callee vs in
+        List.concat_map
+          (fun (path', outcome) ->
+            match outcome with
+            | Returned _ -> continue_ path' regs
+            | Panicked m -> [ (path', Panicked m) ])
+          results
+  end
 
-and eval_rvalue ctx path regs (rv : Instr.rvalue)
+and eval_rvalue ctx path regs (rv : Instr.rvalue) (callee : int)
     (k : path -> Sval.sval -> result) : result =
   match rv with
   | Instr.Binop (op, a, b) ->
@@ -568,7 +643,7 @@ and eval_rvalue ctx path regs (rv : Instr.rvalue)
       | _ -> Sval.error "gep through non-pointer")
   | Instr.Call (name, args) ->
       let vs = List.map (operand_value regs) args in
-      let results = exec_call ctx path name vs in
+      let results = exec_call ctx path name callee vs in
       List.concat_map
         (fun (path', outcome) ->
           match outcome with
@@ -601,7 +676,9 @@ let run ?env_override (ctx : ctx) ~(memory : Sval.memory)
     (fun () ->
       let r =
         Solver.with_budget ctx.budget (fun () ->
-            exec_call ctx { pc; mem = memory } fn args)
+            exec_call ctx { pc; mem = memory } fn
+              (Option.value (Hashtbl.find_opt ctx.code.by_name fn) ~default:(-1))
+              args)
       in
       Trace.add_attr "paths" (string_of_int (List.length r));
       r)

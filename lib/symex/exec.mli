@@ -16,8 +16,13 @@ module Typing = Minir.Typing
 type path = { pc : Term.t list; mem : Sval.memory; }
 type outcome = Returned of Sval.sval option | Panicked of string
 type result = (path * outcome) list
+
+(* A program resolved to index-addressed code, once per domain. *)
+type code
+
 type ctx = {
   prog : Instr.program;
+  code : code;
   mutable intercepts : (string * intercept) list;
   mutable steps : int;
   max_steps : int;
@@ -142,20 +147,6 @@ val resolve_gep :
   Ty.t ->
   Value.ptr ->
   Sval.sval list -> (path -> Value.ptr -> 'a list) -> 'a list
-val exec_call : ctx -> path -> string -> Sval.sval list -> result
-val exec_block :
-  ctx ->
-  path -> Instr.func -> Sval.sval Regs.t -> Instr.block -> result
-val exec_insns :
-  ctx ->
-  path ->
-  Sval.sval Regs.t ->
-  Instr.instr list -> (path -> Sval.sval Regs.t -> result) -> result
-val eval_rvalue :
-  ctx ->
-  path ->
-  Sval.sval Regs.t ->
-  Instr.rvalue -> (path -> Sval.sval -> result) -> result
 (* [env_override] substitutes the caller's own vouched-for env for the
    duration of this run (the summarizer passes a per-window env built
    from its canonicalized arguments); without it, [ctx.env] applies to

@@ -73,32 +73,69 @@ type canon_state = {
   buf : Buffer.t; (* the cache key being built *)
 }
 
-let canon_term (st : canon_state) (t : Term.t) (sort : Term.sort) : Term.t =
+let new_state () = { bindings = []; counter = 0; buf = Buffer.create 256 }
+
+(* The key text. Summary keys are persisted in stores, so these bytes
+   are a format: [key_*] (which only writes the key and the bindings)
+   and [canon_*] (which also rebuilds the canonical value) must write
+   the same bytes and bind the same names in the same order. *)
+
+let add_int buf n = Buffer.add_string buf (string_of_int n)
+
+let add_ptr buf (p : Value.ptr) =
+  Buffer.add_char buf '&';
+  add_int buf p.Value.block;
+  Buffer.add_char buf '.';
+  List.iteri
+    (fun i k ->
+      if i > 0 then Buffer.add_char buf '.';
+      add_int buf k)
+    p.Value.path
+
+(* A concrete scalar is written into the key; a symbolic one becomes a
+   slot "?" bound to the next canonical name, which is returned. *)
+let key_term (st : canon_state) (t : Term.t) : string option =
   match t with
   | Term.Int_const n ->
-      Buffer.add_string st.buf (Printf.sprintf "#%d" n);
-      t
-  | Term.True | Term.False ->
-      Buffer.add_string st.buf (if t = Term.True then "#t" else "#f");
-      t
+      Buffer.add_char st.buf '#';
+      add_int st.buf n;
+      None
+  | Term.True ->
+      Buffer.add_string st.buf "#t";
+      None
+  | Term.False ->
+      Buffer.add_string st.buf "#f";
+      None
   | t ->
-      let name = Printf.sprintf "$c%d" st.counter in
+      let name = "$c" ^ string_of_int st.counter in
       st.counter <- st.counter + 1;
       st.bindings <- (name, t) :: st.bindings;
-      Buffer.add_string st.buf "?";
-      Term.var name sort
+      Buffer.add_char st.buf '?';
+      Some name
+
+let canon_term (st : canon_state) (t : Term.t) (sort : Term.sort) : Term.t =
+  match key_term st t with None -> t | Some name -> Term.var name sort
+
+let rec key_cell (st : canon_state) (c : Sval.scell) : unit =
+  match c with
+  | Sval.CInt t | Sval.CBool t -> ignore (key_term st t)
+  | Sval.CPtr p -> add_ptr st.buf p
+  | Sval.CNull -> Buffer.add_char st.buf '0'
+  | Sval.CStruct cells ->
+      Buffer.add_char st.buf '{';
+      Array.iter (key_cell st) cells;
+      Buffer.add_char st.buf '}'
+  | Sval.CArray cells ->
+      Buffer.add_char st.buf '[';
+      Array.iter (key_cell st) cells;
+      Buffer.add_char st.buf ']'
 
 let rec canon_cell (st : canon_state) (c : Sval.scell) : Sval.scell =
   match c with
   | Sval.CInt t -> Sval.CInt (canon_term st t Term.Int)
   | Sval.CBool t -> Sval.CBool (canon_term st t Term.Bool)
-  | Sval.CPtr p ->
-      Buffer.add_string st.buf
-        (Printf.sprintf "&%d.%s" p.Value.block
-           (String.concat "." (List.map string_of_int p.Value.path)));
-      c
-  | Sval.CNull ->
-      Buffer.add_string st.buf "0";
+  | Sval.CPtr _ | Sval.CNull ->
+      key_cell st c;
       c
   | Sval.CStruct cells ->
       Buffer.add_char st.buf '{';
@@ -111,19 +148,20 @@ let rec canon_cell (st : canon_state) (c : Sval.scell) : Sval.scell =
       Buffer.add_char st.buf ']';
       Sval.CArray out
 
+let key_sval (st : canon_state) (v : Sval.sval) : unit =
+  match v with
+  | Sval.SInt t | Sval.SBool t -> ignore (key_term st t)
+  | Sval.SPtr p -> add_ptr st.buf p
+  | Sval.SNull -> Buffer.add_char st.buf '0'
+  | Sval.SUnit -> ()
+
 let canon_sval (st : canon_state) (v : Sval.sval) : Sval.sval =
   match v with
   | Sval.SInt t -> Sval.SInt (canon_term st t Term.Int)
   | Sval.SBool t -> Sval.SBool (canon_term st t Term.Bool)
-  | Sval.SPtr p ->
-      Buffer.add_string st.buf
-        (Printf.sprintf "&%d.%s" p.Value.block
-           (String.concat "." (List.map string_of_int p.Value.path)));
+  | Sval.SPtr _ | Sval.SNull | Sval.SUnit ->
+      key_sval st v;
       v
-  | Sval.SNull ->
-      Buffer.add_string st.buf "0";
-      v
-  | Sval.SUnit -> v
 
 (* Pointers reachable from the arguments, stopping at frozen (read-only
    heap) blocks — the concrete domain tree is closed under pointers. *)
@@ -133,6 +171,11 @@ let reachable_blocks ~(frozen_below : int) (mem : Sval.memory)
   let frontier = ref [] in
   let push b = if not (Hashtbl.mem seen b) then frontier := b :: !frontier in
   List.iter (function Sval.SPtr p -> push p.Value.block | _ -> ()) args;
+  let rec pointees = function
+    | Sval.CPtr p -> push p.Value.block
+    | Sval.CStruct cells | Sval.CArray cells -> Array.iter pointees cells
+    | Sval.CInt _ | Sval.CBool _ | Sval.CNull -> ()
+  in
   let out = ref [] in
   while !frontier <> [] do
     match !frontier with
@@ -142,17 +185,55 @@ let reachable_blocks ~(frozen_below : int) (mem : Sval.memory)
         if not (Hashtbl.mem seen b) then begin
           Hashtbl.replace seen b ();
           out := b :: !out;
-          if b >= frozen_below then
-            ignore
-              (Sval.fold_scalars
-                 (fun () _ cell ->
-                   match cell with
-                   | Sval.CPtr p -> push p.Value.block
-                   | _ -> ())
-                 () [] (Sval.block_value mem b))
+          if b >= frozen_below then pointees (Sval.block_value mem b)
         end
   done;
   List.sort compare !out
+
+(* The walk of a call shape that writes its key: [fn], the arguments
+   ([arg] writes each and returns its canonical form), then every
+   reachable block in ascending order — a frozen one by number alone, a
+   live one with its contents, written by [block]. *)
+let walk_call (st : canon_state) ~(frozen_below : int) ~(fn : string)
+    ~(args : Sval.sval list) ~(reach : int list) ~(arg : Sval.sval -> 'a)
+    ~(block : int -> unit) : 'a list =
+  Buffer.add_string st.buf fn;
+  let out =
+    List.mapi
+      (fun idx a ->
+        Buffer.add_string st.buf "|a";
+        add_int st.buf idx;
+        Buffer.add_char st.buf '=';
+        arg a)
+      args
+  in
+  List.iter
+    (fun b ->
+      if b < frozen_below then begin
+        Buffer.add_string st.buf "|h";
+        add_int st.buf b
+      end
+      else begin
+        Buffer.add_string st.buf "|b";
+        add_int st.buf b;
+        Buffer.add_char st.buf '=';
+        block b
+      end)
+    reach;
+  out
+
+(* The summary-cache key of calling [fn] on [args] in [mem], with this
+   call site's bindings and reachable blocks. Walks memory without
+   rebuilding it: the intercept needs the canonical memory only on a
+   miss ([summarize_at]). *)
+let call_key ~(frozen_below : int) (mem : Sval.memory) ~(fn : string)
+    ~(args : Sval.sval list) : string * (string * Term.t) list * int list =
+  let st = new_state () in
+  let reach = reachable_blocks ~frozen_below mem args in
+  ignore
+    (walk_call st ~frozen_below ~fn ~args ~reach ~arg:(key_sval st)
+       ~block:(fun b -> key_cell st (Sval.block_value mem b)));
+  (Buffer.contents st.buf, st.bindings, reach)
 
 (* ------------------------------------------------------------------ *)
 (* Effect extraction: diff final memory against the canonical initial
@@ -245,36 +326,31 @@ let window_env (fn : string) (canon_args : Sval.sval list) : Analysis.env =
    symbolic inputs, run full-path symbolic execution from a true path
    condition, and collect one case per path. Returns the summary plus
    the canonical-to-actual bindings of this call site and the cache
-   key. *)
-let summarize_at (ctx : Exec.ctx) ~(frozen_below : int) ~(mem : Sval.memory)
-    ~(fn : string) ~(args : Sval.sval list) : t * (string * Term.t) list * string
-    =
+   key. [reach], if given, is the call's reachable blocks as
+   [call_key] computed them. *)
+let summarize_at ?reach (ctx : Exec.ctx) ~(frozen_below : int)
+    ~(mem : Sval.memory) ~(fn : string) ~(args : Sval.sval list) :
+    t * (string * Term.t) list * string =
   if Faultinject.fire Faultinject.Summarize_raise then
     raise (Summary_failed (fn ^ ": injected raise mid-summary"));
-  let st = { bindings = []; counter = 0; buf = Buffer.create 256 } in
-  Buffer.add_string st.buf fn;
+  let st = new_state () in
+  let reach =
+    match reach with
+    | Some r -> r
+    | None -> reachable_blocks ~frozen_below mem args
+  in
+  let canon_mem = ref mem in
   let canon_args =
-    List.mapi
-      (fun idx a ->
-        Buffer.add_string st.buf (Printf.sprintf "|a%d=" idx);
-        canon_sval st a)
-      args
+    walk_call st ~frozen_below ~fn ~args ~reach ~arg:(canon_sval st)
+      ~block:(fun b ->
+        let cell = canon_cell st (Sval.block_value mem b) in
+        canon_mem :=
+          {
+            !canon_mem with
+            Sval.blocks = Sval.Int_map.add b cell !canon_mem.Sval.blocks;
+          })
   in
-  let reach = reachable_blocks ~frozen_below mem args in
-  let canon_mem =
-    List.fold_left
-      (fun m b ->
-        if b < frozen_below then begin
-          Buffer.add_string st.buf (Printf.sprintf "|h%d" b);
-          m
-        end
-        else begin
-          Buffer.add_string st.buf (Printf.sprintf "|b%d=" b);
-          let cell = canon_cell st (Sval.block_value mem b) in
-          { m with Sval.blocks = Sval.Int_map.add b cell m.Sval.blocks }
-        end)
-      mem reach
-  in
+  let canon_mem = !canon_mem in
   let key = Buffer.contents st.buf in
   let window_env = window_env fn canon_args in
   (* The callee must execute its own body here, not its own summary. *)
@@ -449,77 +525,49 @@ let c_misses = Trace.Metrics.counter "summary.misses"
 let intercept_for ~(frozen_below : int) (store : store) (fn : string) :
     Exec.intercept =
  fun ctx path args ->
-  (* Canonicalize against the current state to obtain the cache key and
-     this site's bindings. (Canonicalization is cheap relative to
-     symbolic execution.) *)
-  let summary, bindings, key =
-    match
-      let st = { bindings = []; counter = 0; buf = Buffer.create 256 } in
-      Buffer.add_string st.buf fn;
-      let canon_args =
-        List.mapi
-          (fun idx a ->
-            Buffer.add_string st.buf (Printf.sprintf "|a%d=" idx);
-            canon_sval st a)
-          args
-      in
-      let reach = reachable_blocks ~frozen_below path.Exec.mem args in
-      List.iter
-        (fun b ->
-          if b < frozen_below then
-            Buffer.add_string st.buf (Printf.sprintf "|h%d" b)
-          else begin
-            Buffer.add_string st.buf (Printf.sprintf "|b%d=" b);
-            ignore (canon_cell st (Sval.block_value path.Exec.mem b))
-          end)
-        reach;
-      ignore canon_args;
-      (Buffer.contents st.buf, st.bindings)
-    with
-    | key, bindings -> (
-        match Hashtbl.find_opt store.cache key with
+  let key, bindings, reach = call_key ~frozen_below path.Exec.mem ~fn ~args in
+  let summary, bindings =
+    match Hashtbl.find_opt store.cache key with
+    | Some s ->
+        store.hits <- store.hits + 1;
+        Trace.Metrics.incr c_hits;
+        Trace.event ~det:false "summary.hit" ~attrs:[ ("fn", fn) ];
+        (s, bindings)
+    | None -> (
+        let persisted =
+          match store.persist with
+          | None -> None
+          | Some p -> p.sp_load ~fn ~key
+        in
+        match persisted with
         | Some s ->
+            (* A store-served summary counts as a hit: nothing was
+               re-executed. Key equality means the canonical shape is
+               this call's shape, so the current bindings apply. *)
             store.hits <- store.hits + 1;
             Trace.Metrics.incr c_hits;
-            Trace.event ~det:false "summary.hit" ~attrs:[ ("fn", fn) ];
-            (s, bindings, key)
-        | None -> (
-            let persisted =
-              match store.persist with
-              | None -> None
-              | Some p -> p.sp_load ~fn ~key
+            Trace.event ~det:false "summary.hit"
+              ~attrs:[ ("fn", fn); ("src", "store") ];
+            Hashtbl.replace store.cache key s;
+            (s, bindings)
+        | None ->
+            store.misses <- store.misses + 1;
+            Trace.Metrics.incr c_misses;
+            let s, bindings', key' =
+              Trace.with_span ~det:false "summarize" ~attrs:[ ("fn", fn) ]
+                (fun () ->
+                  summarize_at ~reach ctx ~frozen_below ~mem:path.Exec.mem ~fn
+                    ~args)
             in
-            match persisted with
-            | Some s ->
-                (* A store-served summary counts as a hit: nothing was
-                   re-executed. Key equality means the canonical shape
-                   is this call's shape, so the current bindings
-                   apply. *)
-                store.hits <- store.hits + 1;
-                Trace.Metrics.incr c_hits;
-                Trace.event ~det:false "summary.hit"
-                  ~attrs:[ ("fn", fn); ("src", "store") ];
-                Hashtbl.replace store.cache key s;
-                (s, bindings, key)
-            | None ->
-                store.misses <- store.misses + 1;
-                Trace.Metrics.incr c_misses;
-                let s, bindings', key' =
-                  Trace.with_span ~det:false "summarize" ~attrs:[ ("fn", fn) ]
-                    (fun () ->
-                      summarize_at ctx ~frozen_below ~mem:path.Exec.mem ~fn
-                        ~args)
-                in
-                assert (key' = key);
-                (match validate s with
-                | Ok () -> ()
-                | Error m -> raise (Summary_failed m));
-                store.summarize_time <- store.summarize_time +. s.elapsed;
-                Hashtbl.replace store.cache key s;
-                (match store.persist with
-                | None -> ()
-                | Some p -> p.sp_save ~fn ~key s);
-                (s, bindings', key)))
+            assert (key' = key);
+            (match validate s with
+            | Ok () -> ()
+            | Error m -> raise (Summary_failed m));
+            store.summarize_time <- store.summarize_time +. s.elapsed;
+            Hashtbl.replace store.cache key s;
+            (match store.persist with
+            | None -> ()
+            | Some p -> p.sp_save ~fn ~key s);
+            (s, bindings'))
   in
-  ignore key;
   apply ctx summary bindings path

@@ -45,6 +45,12 @@ type canon_state = {
   mutable counter : int;
   buf : Buffer.t;
 }
+val new_state : unit -> canon_state
+
+(* [key_cell] writes the key text and bindings of a cell; [canon_*]
+   write the same bytes and bindings and also return the canonical value
+   (symbolic scalars renamed to their canonical variables). *)
+val key_cell : canon_state -> Sval.scell -> unit
 val canon_term : canon_state -> Term.t -> Term.sort -> Term.t
 val canon_cell : canon_state -> Sval.scell -> Sval.scell
 val canon_sval : canon_state -> Sval.sval -> Sval.sval
@@ -58,6 +64,7 @@ val diff_memory :
   Sval.memory ->
   Sval.memory -> write list * (int * Sval.scell) list
 val summarize_at :
+  ?reach:int list ->
   Exec.ctx ->
   frozen_below:int ->
   mem:Sval.memory ->

@@ -131,18 +131,6 @@ let rec cell_set (c : scell) (path : int list) (v : scell) : scell =
       end
   | (CInt _ | CBool _ | CPtr _ | CNull), _ :: _ -> error "indexing a scalar"
 
-(* Fold over all scalar cells with their paths. *)
-let rec fold_scalars (f : 'a -> int list -> scell -> 'a) (acc : 'a)
-    (rev_prefix : int list) (c : scell) : 'a =
-  match c with
-  | CInt _ | CBool _ | CPtr _ | CNull -> f acc (List.rev rev_prefix) c
-  | CStruct cells | CArray cells ->
-      let acc = ref acc in
-      Array.iteri
-        (fun i sub -> acc := fold_scalars f !acc (i :: rev_prefix) sub)
-        cells;
-      !acc
-
 let equal_scalar (a : scell) (b : scell) =
   match (a, b) with
   | CInt x, CInt y | CBool x, CBool y -> x = y

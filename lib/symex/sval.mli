@@ -33,8 +33,6 @@ val scell_of_mval : Value.mval -> scell
 val scell_default : Ty.tenv -> Ty.t -> scell
 val cell_get : scell -> int list -> scell
 val cell_set : scell -> int list -> scell -> scell
-val fold_scalars :
-  ('a -> int list -> scell -> 'a) -> 'a -> int list -> scell -> 'a
 val equal_scalar : scell -> scell -> bool
 module Int_map :
   sig

@@ -289,6 +289,38 @@ let prop_cached_verdicts_stable =
           Model.satisfies m1 smart && Model.satisfies m2 smart
       | a, b -> same_verdict a b)
 
+(* Symex path conditions share a long sorted prefix and differ in their
+   last atoms; a hash that stops after the first few words of the key
+   sends all of them to one bucket. Each table must spread such keys. *)
+let test_cache_key_spread () =
+  Solver.clear_caches ();
+  let v i = Term.int_var (Printf.sprintf "x%02d" i) in
+  let prefix = List.init 24 (fun i -> Term.le (v i) (Term.int i)) in
+  let disj_prefix =
+    List.init 8 (fun i ->
+        Term.or_
+          [ Term.le (v i) (Term.int 0); Term.eq (v (i + 8)) (Term.int i) ])
+  in
+  let y = Term.int_var "zz" in
+  for i = 0 to 2047 do
+    (* tag 2 (disequality) sorts after the prefix's tag-0 atoms *)
+    ignore (Solver.check (prefix @ [ Term.neq y (Term.int i) ]));
+    let last =
+      Term.or_ [ Term.le y (Term.int i); Term.le (v 0) (Term.int (-i)) ]
+    in
+    ignore (Solver.check (disj_prefix @ [ last ]))
+  done;
+  List.iter
+    (fun (name, (st : Hashtbl.statistics)) ->
+      check_bool (name ^ " table holds the 2048 keys") true
+        (st.Hashtbl.num_bindings >= 2048);
+      if st.Hashtbl.max_bucket_length > 16 then
+        Alcotest.failf "%s table: longest chain %d > 16 (%d buckets used)"
+          name st.Hashtbl.max_bucket_length
+          (Array.fold_left ( + ) 0 st.Hashtbl.bucket_histogram
+          - st.Hashtbl.bucket_histogram.(0)))
+    (Solver.cache_stats ())
+
 (* ------------------------------------------------------------------ *)
 (* Parallel pipeline determinism                                      *)
 (* ------------------------------------------------------------------ *)
@@ -365,7 +397,12 @@ let () =
             Alcotest.test_case "seed 11 walks agree (regression)" `Quick
               (test_seeded_walks 11);
           ] );
-      ("cache", qcheck [ prop_cached_verdicts_stable ]);
+      ( "cache",
+        qcheck [ prop_cached_verdicts_stable ]
+        @ [
+            Alcotest.test_case "memo keys spread over buckets" `Quick
+              test_cache_key_spread;
+          ] );
       ( "parallel",
         [
           Alcotest.test_case "verify: jobs=4 fingerprints equal jobs=1" `Quick

@@ -326,6 +326,127 @@ let test_summary_cache_hits () =
   check_int "one miss" 1 store.Summary.misses;
   check_int "two hits" 2 store.Summary.hits
 
+(* Summary keys are persisted in stores, so their bytes are a format.
+   [spec_key] states that format apart from both walks. The copy-free
+   walk ([key_cell]), the rebuilding one ([canon_cell]) and the format
+   must agree on the bytes, and the two walks must bind the same names
+   to the same terms in the same order. *)
+let gen_scell : Sval.scell QCheck.Gen.t =
+  let open QCheck.Gen in
+  let term =
+    oneof
+      [
+        map Term.int (int_range (-40) 40);
+        map (fun i -> Term.int_var (Printf.sprintf "s%d" i)) (int_bound 5);
+        map2
+          (fun i k ->
+            Term.add [ Term.int_var (Printf.sprintf "s%d" i); Term.int k ])
+          (int_bound 5) (int_range 1 9);
+      ]
+  in
+  let boolean =
+    oneof
+      [
+        return Term.True;
+        return Term.False;
+        map (fun i -> Term.bool_var (Printf.sprintf "b%d" i)) (int_bound 3);
+      ]
+  in
+  let scalar =
+    oneof
+      [
+        map (fun t -> Sval.CInt t) term;
+        map (fun t -> Sval.CBool t) boolean;
+        map2
+          (fun block path -> Sval.CPtr { Value.block; path })
+          (int_bound 30) (list_size (int_bound 3) (int_bound 6));
+        return Sval.CNull;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           let cells =
+             map Array.of_list (list_size (int_bound 4) (self (n - 1)))
+           in
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun cs -> Sval.CStruct cs) cells);
+               (1, map (fun cs -> Sval.CArray cs) cells);
+             ])
+
+let rec spec_key (counter : int ref) (c : Sval.scell) : string =
+  let scalar (t : Term.t) =
+    match t with
+    | Term.Int_const n -> Printf.sprintf "#%d" n
+    | Term.True -> "#t"
+    | Term.False -> "#f"
+    | _ ->
+        incr counter;
+        "?"
+  in
+  match c with
+  | Sval.CInt t | Sval.CBool t -> scalar t
+  | Sval.CPtr p ->
+      Printf.sprintf "&%d.%s" p.Value.block
+        (String.concat "." (List.map string_of_int p.Value.path))
+  | Sval.CNull -> "0"
+  | Sval.CStruct cs -> "{" ^ spec_keys counter cs ^ "}"
+  | Sval.CArray cs -> "[" ^ spec_keys counter cs ^ "]"
+
+and spec_keys counter cs =
+  String.concat "" (Array.to_list (Array.map (spec_key counter) cs))
+
+let prop_key_walk_matches_canon =
+  QCheck.Test.make ~name:"key walk = canon_cell = key format" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" Sval.pp_scell) gen_scell)
+    (fun c ->
+      let walked = Summary.new_state () and canon = Summary.new_state () in
+      Summary.key_cell walked c;
+      ignore (Summary.canon_cell canon c);
+      let symbolic = ref 0 in
+      let spec = spec_key symbolic c in
+      Buffer.contents walked.Summary.buf = Buffer.contents canon.Summary.buf
+      && Buffer.contents walked.Summary.buf = spec
+      && List.equal
+           (fun (n1, t1) (n2, t2) -> n1 = n2 && Term.equal t1 t2)
+           walked.Summary.bindings canon.Summary.bindings
+      && List.length walked.Summary.bindings = !symbolic
+      && List.rev_map fst walked.Summary.bindings
+         = List.init !symbolic (Printf.sprintf "$c%d"))
+
+(* Every summary key met while checking fixed v3.0 (A) on the reference
+   zone, in order, digested. The digest is fixed: stores written by
+   earlier builds hold keys in this format, and a change here turns
+   every persisted summary into a miss. *)
+let golden_summary_keys_md5 = "2651c01166a888bd8def49708e8292ab"
+
+let test_summary_keys_golden () =
+  let keys = ref [] in
+  let persist =
+    {
+      Summary.sp_load =
+        (fun ~fn:_ ~key ->
+          keys := key :: !keys;
+          None);
+      sp_save = (fun ~fn:_ ~key:_ _ -> ());
+    }
+  in
+  let store = Summary.create_store ~persist () in
+  let r =
+    Refine.Check.check_version ~store
+      (Engine.Versions.fixed Engine.Versions.v3_0)
+      Spec.Fixtures.reference_zone ~qtype:Dns.Rr.A
+  in
+  check_bool "v3.0-fixed (A) verifies" true (Refine.Check.ok r);
+  check_bool "summaries were keyed" true (!keys <> []);
+  Alcotest.(check string)
+    "summary keys are byte-identical to the recorded ones"
+    golden_summary_keys_md5
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.rev !keys))))
+
 (* Summarization soundness against concrete replay: any model of a
    case's condition, run through the interpreter, must reproduce the
    case's recorded effect. *)
@@ -588,8 +709,10 @@ let () =
           Alcotest.test_case "application matches inlining" `Quick
             test_summary_application_matches_inline;
           Alcotest.test_case "cache hits" `Quick test_summary_cache_hits;
+          Alcotest.test_case "summary keys match the recorded format" `Quick
+            test_summary_keys_golden;
         ]
-        @ qcheck [ prop_summary_sound ] );
+        @ qcheck [ prop_summary_sound; prop_key_walk_matches_canon ] );
       ( "layers",
         [
           Alcotest.test_case "all layers verify" `Slow test_all_layers_verify;
