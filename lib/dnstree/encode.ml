@@ -132,16 +132,19 @@ let encode (tree : Tree.t) : t =
 (* Runtime objects for one query                                      *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_of_ty mem ty =
-  Value.alloc mem (Value.mval_default Layout.tenv ty)
-
 (* Allocate the query name array and return (memory, ptr, len). *)
 let alloc_qname (t : t) mem (qname : Name.t) : Value.memory * Value.ptr * int =
   let codes, len = Layout.encode_name t.interner qname in
   let mem, ptr = Value.alloc mem (Value.MArray (Array.map mint codes)) in
   (mem, ptr, len)
 
-let alloc_response mem = alloc_of_ty mem (Minir.Ty.Struct "Response")
+(* Built once and shared by every query's Response block: the
+   interpreter copies a block before its first write, so no run changes
+   it. Built when the module loads rather than lazily, because a lazy
+   value that two domains force at once raises. *)
+let response_default = Value.mval_default Layout.tenv (Minir.Ty.Struct "Response")
+
+let alloc_response mem = Value.alloc mem response_default
 
 (* ------------------------------------------------------------------ *)
 (* Decoding a Response block back into the message model              *)
@@ -187,9 +190,8 @@ let decode_section (t : t) (count : Value.mval) (cells : Value.mval) :
       List.init (as_int count) (fun i -> decode_rr t arr.(i))
   | mv -> decode_error "malformed section %a" Value.pp_mval mv
 
-let decode_response (t : t) (mem : Value.memory) (resp : Value.ptr) :
-    Dns.Message.response =
-  match Value.load_mval mem resp with
+let decode_response (t : t) (resp : Value.mval) : Dns.Message.response =
+  match resp with
   | Value.MStruct
       [| rcode; aa; nans; answer; nauth; authority; nadd; additional |] ->
       let rcode =

@@ -23,7 +23,6 @@ val zero_rrset : unit -> Value.mval
 val encode_rrset :
   Layout.interner -> Tree.rrset -> Value.mval
 val encode : Tree.t -> t
-val alloc_of_ty : Value.memory -> Minir.Ty.t -> Value.memory * Value.ptr
 val alloc_qname :
   t -> Value.memory -> Name.t -> Value.memory * Value.ptr * int
 val alloc_response : Value.memory -> Value.memory * Value.ptr
@@ -33,4 +32,4 @@ val as_int : Value.mval -> int
 val as_bool : Value.mval -> bool
 val decode_rr : t -> Value.mval -> Rr.t
 val decode_section : t -> Value.mval -> Value.mval -> Rr.t list
-val decode_response : t -> Value.memory -> Value.ptr -> Dns.Message.response
+val decode_response : t -> Value.mval -> Dns.Message.response

@@ -102,8 +102,10 @@ let run_compiled ?observer (prog : Minir.Instr.program)
         ]
       in
       match Minir.Interp.run ?observer prog ~memory:mem ~fn:"resolve" ~args with
-      | Minir.Interp.Returned (_, mem') ->
-          Response (Dnstree.Encode.decode_response enc mem' resp_ptr)
+      | Minir.Interp.Returned (_, heap) ->
+          Response
+            (Dnstree.Encode.decode_response enc
+               (Minir.Interp.load_mval heap resp_ptr))
       | Minir.Interp.Panicked msg -> Engine_panic msg)
 
 (* Convenience: compile (memoized per config), encode, run. The memo is

@@ -13,10 +13,137 @@
    value array. Running resolved code looks up no name. Names that do
    not resolve (an unknown callee, a branch to a missing label) are
    kept as negative indices and raise when executed, exactly where a
-   by-name lookup would have failed. *)
+   by-name lookup would have failed.
+
+   A run keeps its memory in a flat heap (see "The run's heap" below):
+   stores write in place into blocks the run owns, and the caller's
+   [Value.memory] is never changed. *)
+
+(* ------------------------------------------------------------------ *)
+(* The run's heap                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One run's memory. Blocks below [base] belong to the input memory and
+   are read from it until the run first writes one; that write puts a
+   deep copy into [copies], which holds the block from then on. Blocks
+   from [base] on are the run's allocations: block [base + i] is
+   [cells.(i)], a deep copy of its type's shared default. So every block
+   a run writes is owned by the run's heap, because it was deep-copied
+   either at alloc or at first write, and a store sets its leaf in
+   place. Nothing the heap shares (the input's blocks, the resolved
+   defaults) is ever mutated. *)
+type heap = {
+  input : Value.memory;
+  base : int;
+  mutable copies : Value.mval Value.Int_map.t;
+  mutable cells : Value.mval array;
+  mutable next : int;
+}
+
+(* Sized by what a run allocates, not by its input, and no larger than
+   the minor heap takes (Max_young_wosize): a query's heap is
+   short-lived and should die young. *)
+let initial_cells = 256
+
+let new_heap (input : Value.memory) =
+  let base = input.Value.next_block in
+  {
+    input;
+    base;
+    copies = Value.Int_map.empty;
+    cells = Array.make initial_cells Value.MUndef;
+    next = base;
+  }
+
+let rec copy_mval = function
+  | Value.MStruct fs -> Value.MStruct (Array.map copy_mval fs)
+  | Value.MArray cs -> Value.MArray (Array.map copy_mval cs)
+  | (Value.MInt _ | Value.MBool _ | Value.MPtr _ | Value.MNull | Value.MUndef)
+    as m ->
+      m
+
+(* The current value of block [b]; the same panic as [Value.block_value]
+   for a block that does not exist. *)
+let block h b =
+  if b >= h.base then
+    if b < h.next then Array.unsafe_get h.cells (b - h.base)
+    else Value.panic "dangling block %d" b
+  else
+    match Value.Int_map.find_opt b h.copies with
+    | Some m -> m
+    | None -> Value.block_value h.input b
+
+(* Block [b], owned by the heap: an input block is copied first. *)
+let owned_block h b =
+  if b >= h.base then block h b
+  else
+    match Value.Int_map.find_opt b h.copies with
+    | Some m -> m
+    | None ->
+        let m = copy_mval (Value.block_value h.input b) in
+        h.copies <- Value.Int_map.add b m h.copies;
+        m
+
+let alloc h default =
+  let i = h.next - h.base in
+  if i = Array.length h.cells then begin
+    let cells = Array.make (2 * i) Value.MUndef in
+    Array.blit h.cells 0 cells 0 i;
+    h.cells <- cells
+  end;
+  h.cells.(i) <- copy_mval default;
+  h.next <- h.next + 1;
+  { Value.block = h.base + i; path = [] }
+
+let load_mval h (p : Value.ptr) =
+  Value.mval_get (block h p.Value.block) p.Value.path
+
+(* Set the cell at [i :: rest] under [m] in place. The checks, their
+   order and their messages are those of [Value.mval_get]. *)
+let rec set_path m i rest v =
+  match m with
+  | Value.MStruct fields ->
+      if i < 0 || i >= Array.length fields then
+        Value.panic "struct field index %d out of range" i
+      else begin
+        match rest with
+        | [] -> fields.(i) <- v
+        | j :: rest -> set_path fields.(i) j rest v
+      end
+  | Value.MArray cells ->
+      if i < 0 || i >= Array.length cells then
+        Value.panic "array index %d out of bounds (cap %d)" i
+          (Array.length cells)
+      else begin
+        match rest with
+        | [] -> cells.(i) <- v
+        | j :: rest -> set_path cells.(i) j rest v
+      end
+  | Value.MInt _ | Value.MBool _ | Value.MPtr _ | Value.MNull | Value.MUndef ->
+      Value.panic "indexing into a scalar"
+
+let store h (p : Value.ptr) v =
+  let b = p.Value.block in
+  match p.Value.path with
+  | [] ->
+      ignore (block h b);
+      if b >= h.base then h.cells.(b - h.base) <- v
+      else h.copies <- Value.Int_map.add b v h.copies
+  | i :: rest -> set_path (owned_block h b) i rest v
+
+(* The heap as a persistent memory: the input with every block the run
+   allocated or wrote. Those are copied, so the snapshot stays as it is
+   while the run goes on storing in place. *)
+let memory h =
+  let add b m blocks = Value.Int_map.add b (copy_mval m) blocks in
+  let blocks = ref (Value.Int_map.fold add h.copies h.input.Value.blocks) in
+  for i = 0 to h.next - h.base - 1 do
+    blocks := add (h.base + i) h.cells.(i) !blocks
+  done;
+  { Value.blocks = !blocks; next_block = h.next }
 
 type outcome =
-  | Returned of Value.t option * Value.memory
+  | Returned of Value.t option * heap
   | Panicked of string
 
 exception Out_of_fuel
@@ -70,11 +197,11 @@ type func = {
 type code = { funcs : func array; by_name : (string, int) Hashtbl.t }
 
 (* Default values are computed once per type and shared by every
-   allocation of that type. Sharing is safe because memory values are
-   never mutated in place: [Value.store] rebuilds the path it writes
-   ([Value.mval_set] copies each array it descends through), so a store
-   into one allocation can never show through another. Forced lazily so
-   a type error in an allocation surfaces when (and only if) it runs. *)
+   allocation of that type. Sharing is safe because a run never writes a
+   block it does not own: the heap deep-copies a block at its first
+   write, so a store into one allocation can never show through another
+   or into the default. Forced lazily so a type error in an allocation
+   surfaces when (and only if) it runs. *)
 let resolve (p : Instr.program) : code =
   let by_name =
     Instr.index_first (List.map (fun f -> f.Instr.fn_name) p.Instr.funcs)
@@ -229,7 +356,7 @@ type observer =
 
 type state = {
   code : code;
-  mutable mem : Value.memory;
+  heap : heap;
   mutable fuel : int;
   observer : observer option;
 }
@@ -252,13 +379,13 @@ let registers (f : func) (fr : Value.t array) =
    turning accidental non-termination into an exception rather than a
    hang. [observer], if given, is called at every block entry (before
    its instructions) with the function name, block label, the frame's
-   assigned registers, and current memory — the hook the static-analysis
-   soundness tests use to compare concrete runs against abstract
-   states. *)
+   assigned registers, and a snapshot of current memory — the hook the
+   static-analysis soundness tests use to compare concrete runs against
+   abstract states. *)
 let run ?(fuel = default_fuel) ?(observer : observer option)
-    (p : Instr.program) ~(memory : Value.memory) ~(fn : string)
+    (p : Instr.program) ~memory:(input : Value.memory) ~(fn : string)
     ~(args : Value.t list) : outcome =
-  let st = { code = resolved p; mem = memory; fuel; observer } in
+  let st = { code = resolved p; heap = new_heap input; fuel; observer } in
   let rec goto (f : func) (fr : Value.t array) t : Value.t option =
     if t < 0 then
       invalid_arg
@@ -267,7 +394,7 @@ let run ?(fuel = default_fuel) ?(observer : observer option)
     else exec_block f fr (Array.unsafe_get f.blocks t)
   and exec_block f fr b =
     (match st.observer with
-    | Some obs -> obs f.name b.label (registers f fr) st.mem
+    | Some obs -> obs f.name b.label (registers f fr) (memory st.heap)
     | None -> ());
     let insns = b.insns in
     for i = 0 to Array.length insns - 1 do
@@ -307,7 +434,7 @@ let run ?(fuel = default_fuel) ?(observer : observer option)
     | Store (v, ptr) ->
         tick st;
         let p = as_ptr (operand_value fr ptr) in
-        st.mem <- Value.store st.mem p (Value.mval_of_value (operand_value fr v))
+        store st.heap p (Value.mval_of_value (operand_value fr v))
     | Opaque_store ->
         Value.panic "opaque store not resolved (run the Opaque pass)"
     | Call_void (fi, name, args) ->
@@ -321,10 +448,9 @@ let run ?(fuel = default_fuel) ?(observer : observer option)
     | Alloc default ->
         (* Go zero-initializes locals and `new` objects alike, so fresh
            blocks start at their type's default rather than undef. *)
-        let mem', ptr = Value.alloc st.mem (Lazy.force default) in
-        st.mem <- mem';
-        Value.VPtr ptr
-    | Load ptr -> Value.load st.mem (as_ptr (operand_value fr ptr))
+        Value.VPtr (alloc st.heap (Lazy.force default))
+    | Load ptr ->
+        Value.value_of_mval (load_mval st.heap (as_ptr (operand_value fr ptr)))
     | Gep (base, indices) ->
         let bp = as_ptr (operand_value fr base) in
         let idx = List.map (fun o -> as_int (operand_value fr o)) indices in
@@ -337,6 +463,6 @@ let run ?(fuel = default_fuel) ?(observer : observer option)
   let fi = Option.value (Hashtbl.find_opt st.code.by_name fn) ~default:(-1) in
   let args = Array.of_list (List.map (fun v -> Const v) args) in
   match invoke [||] fi fn args with
-  | Some v -> Returned (Some v, st.mem)
-  | None -> Returned (None, st.mem)
+  | Some v -> Returned (Some v, st.heap)
+  | None -> Returned (None, st.heap)
   | exception Value.Runtime_panic msg -> Panicked msg

@@ -68,28 +68,6 @@ let rec mval_get (m : mval) (path : int list) : mval =
   | (MInt _ | MBool _ | MPtr _ | MNull | MUndef), _ :: _ ->
       panic "indexing into a scalar"
 
-let rec mval_set (m : mval) (path : int list) (v : mval) : mval =
-  match (m, path) with
-  | _, [] -> v
-  | MStruct fields, i :: rest ->
-      if i < 0 || i >= Array.length fields then
-        panic "struct field index %d out of range" i
-      else begin
-        let fields = Array.copy fields in
-        fields.(i) <- mval_set fields.(i) rest v;
-        MStruct fields
-      end
-  | MArray cells, i :: rest ->
-      if i < 0 || i >= Array.length cells then
-        panic "array index %d out of bounds (cap %d)" i (Array.length cells)
-      else begin
-        let cells = Array.copy cells in
-        cells.(i) <- mval_set cells.(i) rest v;
-        MArray cells
-      end
-  | (MInt _ | MBool _ | MPtr _ | MNull | MUndef), _ :: _ ->
-      panic "indexing into a scalar"
-
 let mval_of_value = function
   | VInt n -> MInt n
   | VBool b -> MBool b
@@ -129,10 +107,6 @@ let load mem (p : ptr) : t =
   value_of_mval (mval_get (block_value mem p.block) p.path)
 
 let load_mval mem (p : ptr) : mval = mval_get (block_value mem p.block) p.path
-
-let store mem (p : ptr) (v : mval) : memory =
-  let root = block_value mem p.block in
-  { mem with blocks = Int_map.add p.block (mval_set root p.path v) mem.blocks }
 
 let pp_ptr fmt p =
   Format.fprintf fmt "&%d%s" p.block

@@ -21,7 +21,6 @@ val mval_undef : Ty.tenv -> Ty.t -> mval
 exception Runtime_panic of string
 val panic : ('a, Format.formatter, unit, 'b) format4 -> 'a
 val mval_get : mval -> int list -> mval
-val mval_set : mval -> int list -> mval -> mval
 val mval_of_value : t -> mval
 val value_of_mval : mval -> t
 module Int_map :
@@ -79,7 +78,6 @@ val alloc : memory -> mval -> memory * ptr
 val block_value : memory -> Int_map.key -> mval
 val load : memory -> ptr -> t
 val load_mval : memory -> ptr -> mval
-val store : memory -> ptr -> mval -> memory
 val pp_ptr : Format.formatter -> ptr -> unit
 val pp : Format.formatter -> t -> unit
 val pp_mval : Format.formatter -> mval -> unit

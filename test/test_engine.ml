@@ -208,6 +208,48 @@ let test_loadgen_mix_differential () =
     zones;
   check_bool "most of the mix reaches the engine" true (!compared > 1000)
 
+(* Every build's concrete outcomes, pinned: all 8 builds (4 versions,
+   buggy and fixed) answer 30 random queries on each of 16 seeded
+   generated zones, and each Table-2 witness query on its zone. The MD5
+   of the printed outcomes (the response, or the panic message) was
+   recorded with the persistent-memory interpreter, so any change to
+   how the interpreter keeps memory must leave every reply, and every
+   buggy build's wrong reply, byte-identical. *)
+let golden_replies_md5 = "0dfd4490b2cd699c517077f576d2e197"
+
+let test_golden_replies () =
+  let buf = Buffer.create (1 lsl 20) in
+  let builds = List.concat_map (fun c -> [ c; Versions.fixed c ]) Versions.all in
+  let outcomes tag zone queries =
+    let enc = Dnstree.Encode.encode (Tree.build zone) in
+    List.iter
+      (fun cfg ->
+        let prog = Versions.compiled cfg in
+        List.iteri
+          (fun i q ->
+            Printf.bprintf buf "%s %s query %d: %s\n" cfg.Builder.version tag i
+              (match Versions.run_compiled prog enc q with
+              | Versions.Response r -> Message.response_to_string r
+              | Versions.Engine_panic m -> "panic: " ^ m))
+          queries)
+      builds
+  in
+  for seed = 0 to 15 do
+    let zone = Dns.Zonegen.generate ~seed (n "gen.example") in
+    let rng = Random.State.make [| seed |] in
+    outcomes (Printf.sprintf "zone %d" seed) zone
+      (List.init 30 (fun _ -> Dns.Zonegen.random_query ~rng zone))
+  done;
+  List.iter
+    (fun (w : Fixtures.witness) ->
+      outcomes
+        (Printf.sprintf "witness %d" w.Fixtures.bug_index)
+        w.Fixtures.zone [ w.Fixtures.query ])
+    Fixtures.witnesses;
+  Alcotest.(check string)
+    "MD5 of every build's outcomes" golden_replies_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ------------------------------------------------------------------ *)
 (* Each Table-2 bug shows up concretely on its witness                *)
 (* ------------------------------------------------------------------ *)
@@ -299,6 +341,8 @@ let () =
             test_fixed_engines_match_spec_reference;
           Alcotest.test_case "fixed engines = spec on the loadgen mix" `Quick
             test_loadgen_mix_differential;
+          Alcotest.test_case "every build's replies = recorded digest" `Quick
+            test_golden_replies;
         ]
         @ qcheck
             [

@@ -227,8 +227,8 @@ let test_struct_fields () =
     Interp.run p ~memory:Value.empty_memory ~fn:"mk_point"
       ~args:[ Value.VInt 3; Value.VInt 4 ]
   with
-  | Interp.Returned (Some (Value.VPtr ptr), mem) -> (
-      match Value.load_mval mem ptr with
+  | Interp.Returned (Some (Value.VPtr ptr), heap) -> (
+      match Interp.load_mval heap ptr with
       | Value.MStruct [| Value.MInt 3; Value.MInt 4 |] -> ()
       | mv -> Alcotest.failf "unexpected struct %a" Value.pp_mval mv)
   | _ -> Alcotest.fail "expected pointer result"
@@ -385,8 +385,8 @@ let test_opaque_resolution () =
   match
     Interp.run resolved ~memory:mem ~fn:"poke_y" ~args:[ Value.VPtr ptr ]
   with
-  | Interp.Returned (Some (Value.VInt 42), mem') -> (
-      match Value.load_mval mem' ptr with
+  | Interp.Returned (Some (Value.VInt 42), heap) -> (
+      match Interp.load_mval heap ptr with
       | Value.MStruct [| Value.MInt 1; Value.MInt 42 |] -> ()
       | mv -> Alcotest.failf "unexpected memory %a" Value.pp_mval mv)
   | Interp.Returned _ -> Alcotest.fail "wrong result"
@@ -484,7 +484,7 @@ module Executor = struct
   let fn ?(params = []) ?ret name entry blocks =
     { Instr.fn_name = name; params; ret_ty = ret; entry; blocks }
 
-  let prog funcs = { Instr.tenv = []; funcs }
+  let prog ?(tenv = []) funcs = { Instr.tenv; funcs }
   let r x = Instr.Reg x
 
   (* main(n): i := 0; while i < n { i := inc(i); nop() }; return i *)
@@ -530,8 +530,151 @@ module Executor = struct
           ];
       ]
 
-  let run ?fuel ?observer p fn args =
-    Interp.run ?fuel ?observer p ~memory:Value.empty_memory ~fn ~args
+  let run ?fuel ?observer ?(memory = Value.empty_memory) p fn args =
+    Interp.run ?fuel ?observer p ~memory ~fn ~args
+
+  (* struct Box { tag : i64; cells : [2 x i64] } *)
+  let box_tenv =
+    [
+      {
+        Ty.sname = "Box";
+        fields =
+          [
+            { Ty.fname = "tag"; fty = Ty.I64 };
+            { Ty.fname = "cells"; fty = Ty.Array (Ty.I64, 2) };
+          ];
+      };
+    ]
+
+  let box = Ty.Struct "Box"
+
+  let gep dst base path =
+    Instr.Assign
+      (dst, Instr.Gep (box, base, List.map (fun i -> Instr.Const_int i) path))
+
+  let load dst p = Instr.Assign (dst, Instr.Load (Ty.I64, r p))
+  let store v p = Instr.Store (Ty.I64, v, r p)
+  let binop dst op a b = Instr.Assign (dst, Instr.Binop (op, r a, b))
+
+  (* A memory holding one input block, Box { tag = 1; cells = [2; 3] }. *)
+  let box_memory () =
+    Value.alloc Value.empty_memory
+      (Value.MStruct
+         [| Value.MInt 1; Value.MArray [| Value.MInt 2; Value.MInt 3 |] |])
+
+  let show mv = Format.asprintf "%a" Value.pp_mval mv
+
+  (* bump(b): b.cells[1] += 1 in block "e", += 10 in block "f", and
+     return it. Ten ticks; the store of "e" is the fourth. *)
+  let bump =
+    let add k dst =
+      [
+        load "x" "c";
+        binop dst Instr.Add "x" (Instr.Const_int k);
+        store (r dst) "c";
+      ]
+    in
+    prog ~tenv:box_tenv
+      [
+        fn "bump" ~params:[ ("b", Ty.Ptr box) ] ~ret:Ty.I64 "e"
+          [
+            ("e", blk ((gep "c" (r "b") [ 1; 1 ] :: add 1 "y")) (Instr.Br "f"));
+            ( "f",
+              blk (add 10 "z" @ [ load "res" "c" ]) (Instr.Ret (Some (r "res")))
+            );
+          ];
+      ]
+
+  (* A run writes into an input block of the caller's memory: the
+     caller's memory is unchanged and the next run from it reads the
+     original value; the run's own heap and its observer snapshots
+     show each store, and a snapshot stays as it was taken. *)
+  let test_copy_on_write () =
+    let mem, b = box_memory () in
+    let seen = ref [] in
+    let observer _fn label _regs m =
+      seen := (label, Value.load_mval m b) :: !seen
+    in
+    (match run ~observer ~memory:mem bump "bump" [ Value.VPtr b ] with
+    | Interp.Returned (Some (Value.VInt 14), heap) ->
+        Alcotest.(check string) "the run's heap" "{1, [2, 14]}"
+          (show (Interp.load_mval heap b));
+        Alcotest.(check string) "the run's memory" "{1, [2, 14]}"
+          (show (Value.load_mval (Interp.memory heap) b))
+    | _ -> Alcotest.fail "expected bump to return 14");
+    Alcotest.(check (list (pair string string)))
+      "snapshots at block entries"
+      [ ("e", "{1, [2, 3]}"); ("f", "{1, [2, 4]}") ]
+      (List.rev_map (fun (l, mv) -> (l, show mv)) !seen);
+    Alcotest.(check string) "the caller's memory" "{1, [2, 3]}"
+      (show (Value.load_mval mem b));
+    match run ~memory:mem bump "bump" [ Value.VPtr b ] with
+    | Interp.Returned (Some (Value.VInt 14), _) -> ()
+    | _ -> Alcotest.fail "a second run must start from the input"
+
+  (* A run that runs out of fuel after its first store leaves nothing
+     behind: a fresh run from the same memory returns what a clean run
+     returns. *)
+  let test_recovery () =
+    let mem, b = box_memory () in
+    (match run ~fuel:5 ~memory:mem bump "bump" [ Value.VPtr b ] with
+    | exception Interp.Out_of_fuel -> ()
+    | _ -> Alcotest.fail "expected Out_of_fuel after the first store");
+    Alcotest.(check string) "the caller's memory" "{1, [2, 3]}"
+      (show (Value.load_mval mem b));
+    match run ~memory:mem bump "bump" [ Value.VPtr b ] with
+    | Interp.Returned (Some (Value.VInt 14), _) -> ()
+    | _ -> Alcotest.fail "expected the clean run's 14"
+
+  (* Two allocations of one struct type start from one shared default
+     and must not alias: a.tag := 5; b.cells[0] := 7; return
+     a.tag*1000 + b.tag*100 + a.cells[0]*10 + b.cells[0]. *)
+  let test_no_aliasing () =
+    let p =
+      prog ~tenv:box_tenv
+        [
+          fn "main" ~ret:Ty.I64 "e"
+            [
+              ( "e",
+                blk
+                  [
+                    Instr.Assign ("a", Instr.Alloca box);
+                    Instr.Assign ("b", Instr.Newobject box);
+                    gep "at" (r "a") [ 0 ];
+                    gep "ac" (r "a") [ 1; 0 ];
+                    gep "bt" (r "b") [ 0 ];
+                    gep "bc" (r "b") [ 1; 0 ];
+                    store (Instr.Const_int 5) "at";
+                    store (Instr.Const_int 7) "bc";
+                    load "x1" "at";
+                    load "x2" "bt";
+                    load "x3" "ac";
+                    load "x4" "bc";
+                    binop "y1" Instr.Mul "x1" (Instr.Const_int 1000);
+                    binop "y2" Instr.Mul "x2" (Instr.Const_int 100);
+                    binop "y3" Instr.Mul "x3" (Instr.Const_int 10);
+                    binop "s1" Instr.Add "y1" (r "y2");
+                    binop "s2" Instr.Add "s1" (r "y3");
+                    binop "s3" Instr.Add "s2" (r "x4");
+                  ]
+                  (Instr.Ret (Some (r "s3"))) );
+            ];
+        ]
+    in
+    for k = 1 to 2 do
+      match run p "main" [] with
+      | Interp.Returned (Some (Value.VInt 5007), heap) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "run %d: the two blocks" k)
+            [ "{5, [0, 0]}"; "{0, [7, 0]}" ]
+            [
+              show (Interp.load_mval heap { Value.block = 0; path = [] });
+              show (Interp.load_mval heap { Value.block = 1; path = [] });
+            ]
+      | Interp.Returned (Some v, _) ->
+          Alcotest.failf "run %d: the allocations alias (%a)" k Value.pp v
+      | _ -> Alcotest.failf "run %d: expected an integer" k
+    done
 
   (* One tick per Assign/Store/Call_void and one per block executed:
      entry 3, each head 3 (n+1 visits), each body 7 (Assign, Store,
@@ -555,8 +698,8 @@ module Executor = struct
           [ ("e", blk [] (Instr.Ret (Some (r "x")))) ];
       ]
 
-  let panics name p fn args expected =
-    match run p fn args with
+  let panics ?memory name p fn args expected =
+    match run ?memory p fn args with
     | Interp.Panicked msg -> Alcotest.(check string) name expected msg
     | Interp.Returned _ -> Alcotest.failf "%s: expected a panic" name
 
@@ -629,7 +772,59 @@ module Executor = struct
       "main" [] "index out of range";
     panics "unreachable"
       (one_block [] Instr.Unreachable)
-      "main" [] "reached unreachable block"
+      "main" [] "reached unreachable block";
+    (* Memory panics, on the load path and on the store path, against an
+       input block (Box { tag = 1; cells = [2; 3] }) or a dangling one. *)
+    let mem, b = box_memory () in
+    let ptr_param = [ ("p", Ty.Ptr box) ] in
+    let access path ~write =
+      let use = if write then store (Instr.Const_int 9) "q" else load "x" "q" in
+      prog ~tenv:box_tenv
+        [
+          fn "main" ~params:ptr_param "e"
+            [ ("e", blk [ gep "q" (r "p") path; use ] (Instr.Ret None)) ];
+        ]
+    in
+    List.iter
+      (fun (what, block, path, expected) ->
+        List.iter
+          (fun write ->
+            panics ~memory:mem
+              (Printf.sprintf "%s (%s)" what (if write then "store" else "load"))
+              (access path ~write) "main"
+              [ Value.VPtr { b with Value.block } ]
+              expected)
+          [ false; true ])
+      [
+        ("dangling block", 7, [ 0 ], "dangling block 7");
+        ("negative block", -1, [], "dangling block -1");
+        ("struct field", 0, [ 2 ], "struct field index 2 out of range");
+        ("negative field", 0, [ -1 ], "struct field index -1 out of range");
+        ("array index", 0, [ 1; 2 ], "array index 2 out of bounds (cap 2)");
+        ("negative index", 0, [ 1; -1 ], "array index -1 out of bounds (cap 2)");
+        ("scalar", 0, [ 0; 0 ], "indexing into a scalar");
+        ("scalar, deeper", 0, [ 1; 0; 3 ], "indexing into a scalar");
+      ];
+    Alcotest.(check string) "the caller's memory after the panics" "{1, [2, 3]}"
+      (show (Value.load_mval mem b));
+    (* A store reads its pointer, then its value, then the memory. *)
+    panics "store operand order"
+      (one_block [ store (r "v") "p" ] (Instr.Ret None))
+      "main" [] "read of unassigned register %p";
+    panics ~memory:mem "store value before memory"
+      (prog ~tenv:box_tenv
+         [
+           fn "main" ~params:ptr_param "e"
+             [ ("e", blk [ store (r "v") "p" ] (Instr.Ret None)) ];
+         ])
+      "main"
+      [ Value.VPtr { Value.block = 7; path = [] } ]
+      "read of unassigned register %v";
+    let undef_mem, u =
+      Value.alloc Value.empty_memory (Value.mval_undef box_tenv box)
+    in
+    panics ~memory:undef_mem "load of undefined value" (access [ 1; 0 ] ~write:false)
+      "main" [ Value.VPtr u ] "load of undefined value"
 
   (* Every block entry, with the frame's registers sorted as strings. *)
   let test_observer () =
@@ -703,6 +898,12 @@ let () =
           Alcotest.test_case "fuel ticks" `Quick Executor.test_fuel;
           Alcotest.test_case "error messages" `Quick Executor.test_messages;
           Alcotest.test_case "observer sequence" `Quick Executor.test_observer;
+          Alcotest.test_case "copy-on-write isolation" `Quick
+            Executor.test_copy_on_write;
+          Alcotest.test_case "allocations do not alias" `Quick
+            Executor.test_no_aliasing;
+          Alcotest.test_case "recovery after Out_of_fuel" `Quick
+            Executor.test_recovery;
         ] );
       ( "syntax",
         [

@@ -495,7 +495,9 @@ let prop_summary_sound =
           | _ -> false)
           &&
           (* Count field agrees. *)
-          match Value.load_mval final_mem { cbuf with Value.path = [ 1 ] } with
+          match
+            Minir.Interp.load_mval final_mem { cbuf with Value.path = [ 1 ] }
+          with
           | Value.MInt concrete_count ->
               let summary_count =
                 match
@@ -671,8 +673,7 @@ let prop_symbolic_matches_concrete =
             | c -> Alcotest.failf "non-concrete cell %a" Sval.pp_scell c
           in
           let cell = Sval.block_value path.Exec.mem resp_ptr.Value.block in
-          let cmem, cptr = Value.alloc Value.empty_memory (mval_of_cell cell) in
-          let symbolic = Dnstree.Encode.decode_response enc cmem cptr in
+          let symbolic = Dnstree.Encode.decode_response enc (mval_of_cell cell) in
           Dns.Message.equal_response symbolic concrete
       | _ -> false)
 
