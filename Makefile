@@ -1,25 +1,6 @@
-# Convenience targets over dune. `make bench-json` is the perf gate:
-# it regenerates BENCH_PR10.json and fails (exit 1) if parallel/cached
-# verdicts diverge from sequential ones, the summaries-ablation
-# speedup regresses below its seed-commit floor, certificate checking
-# costs more than 10% over the uncertified re-verification, span
-# recording costs more than 5%, the static analysis costs more than 5%
-# when nothing is discharged (or the interprocedural layer discharges
-# under 70% of panic checks, or Distrust refutes any interprocedural
-# claim), the store-backed incremental cross-version re-verify is
-# less than 10x faster than cold (or its verdict fingerprint drifts),
-# store bookkeeping costs more than 10% over a storeless run, the
-# CDCL solver core does fewer than 2x fewer DPLL(T) iterations than
-# the legacy no-learning discipline (or more than half the PR 6
-# baseline, or its verdict fingerprint drifts), or the 200-plan chaos
-# soak reports a soundness violation, or the wire probe's malformed
-# loadgen leg crashes the serve loop (any escaped exception or decoder
-# barrier firing), or the observability stack (sampled query log +
-# rolling SLO windows + a scraped stats endpoint, all ON) costs more
-# than 5% wall or exact-p99 over serving with it all OFF, or any
-# observability arm's reply fingerprint differs from the OFF arm's —
-# including the Obsv_sink_fail arm, where every append is suppressed
-# (the checks live in bench/main.ml's json target).
+# Convenience targets over dune. `make bench` regenerates the paper's
+# tables and runs the micro-benchmarks (bench/main.ml); the repository
+# benchmark is `python3 perfbench/run.py` (BENCHMARK.json).
 # `make lint` runs the abstract-interpretation linter over every
 # bundled engine version against the checked-in baseline. `make chaos`
 # is the standalone soak via the CLI; `make trace` records a
@@ -30,7 +11,7 @@
 # `make serve` runs a UDP authoritative loop on port 5300; `make
 # loadgen` fires the default mixed load (10% malformed) at it.
 
-.PHONY: all build check test lint bench bench-json fuzz fuzz-wire \
+.PHONY: all build check test lint bench fuzz fuzz-wire \
 	serve loadgen chaos trace clean
 
 all: build
@@ -49,11 +30,6 @@ lint:
 
 bench:
 	dune exec bench/main.exe
-
-bench-json:
-	dune exec bench/main.exe -- json > BENCH_PR10.json
-	@cat BENCH_PR10.json
-	@echo
 
 fuzz:
 	dune exec test/fuzz_solver.exe -- 2000

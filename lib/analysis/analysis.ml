@@ -1202,7 +1202,7 @@ type edge_fact = { then_dead : bool; else_dead : bool }
    block list on every branch execution). [bi_interproc] marks facts
    the interprocedural layer added on top of what the PR 5
    intraprocedural pass (calls havocked, no environment) could already
-   prove — the distrust cross-check and the bench gate count these. *)
+   prove — the distrust cross-check and test_analysis count these. *)
 type branch_info = {
   bi_fact : edge_fact;
   bi_guards_panic : bool;

@@ -13,8 +13,8 @@
    proof. *)
 
 (* Why a verification attempt stopped short of a verdict. Each carries
-   enough structure for machine consumption (tests, exit codes, bench
-   JSON) as well as a human rendering. *)
+   enough structure for machine consumption (tests, exit codes, JSON
+   reports) as well as a human rendering. *)
 type reason =
   | Deadline_exceeded of { limit_s : float }
   | Solver_steps_exhausted of { limit : int }
@@ -239,7 +239,7 @@ let escalate ?(factor = 2) (b : t) : t =
     retries = b.retries + 1;
   }
 
-(* Consumption snapshot for reporting (bench JSON, verdict stats). *)
+(* Consumption snapshot for reporting (verdict stats). *)
 type consumption = {
   solver_steps_used : int;
   paths_used : int;

@@ -21,7 +21,7 @@ val default_mix : mix
 type transport = string -> string option
 
 (* In-process transport over [Serve.handle] — no sockets, used by the
-   bench probe and the fault-seed tests. *)
+   wire probe and the fault-seed tests. *)
 val inproc : Serve.server -> transport
 
 (* UDP transport to [addr] with a per-query receive timeout; the

@@ -51,9 +51,7 @@ let analysis_tag = function
    in [Engine.Versions.compiled]: a version string uniquely identifies
    the program. The zone and the persistent store are keyed by physical
    identity, so distinct zones (e.g. per-bug witness zones) can never
-   share summaries. Gated on [Solver.caching_enabled]: with result
-   caching off (the benchmark's seed-equivalent mode) every check
-   builds a fresh store, as the pre-optimization pipeline did. *)
+   share summaries. *)
 type store_key = {
   sk_version : string;
   sk_inline : bool;
@@ -104,38 +102,35 @@ let summary_persist_for (pstore : Store.t option) (cfg : Builder.config)
 
 let store_for ?pstore (cfg : Builder.config) (mode : Check.mode)
     (analysis : Analysis.policy) (zone : Zone.t) : Summary.store =
-  if not (Solver.caching_enabled ()) then Summary.create_store ()
-  else begin
-    let memo = Domain.DLS.get store_memo_key in
-    let inline = match mode with Check.Inline_all -> true | _ -> false in
-    let version = cfg.Builder.version in
-    match
-      List.find_opt
-        (fun (k, _) ->
-          k.sk_zone == zone
-          && k.sk_inline = inline
-          && String.equal k.sk_version version
-          && k.sk_analysis = analysis
-          && same_pstore k.sk_pstore pstore)
-        !memo
-    with
-    | Some (_, store) -> store
-    | None ->
-        let persist = summary_persist_for pstore cfg analysis zone in
-        let store = Summary.create_store ?persist () in
-        if List.length !memo >= store_memo_limit then memo := [];
-        memo :=
-          ( {
-              sk_version = version;
-              sk_inline = inline;
-              sk_zone = zone;
-              sk_analysis = analysis;
-              sk_pstore = pstore;
-            },
-            store )
-          :: !memo;
-        store
-  end
+  let memo = Domain.DLS.get store_memo_key in
+  let inline = match mode with Check.Inline_all -> true | _ -> false in
+  let version = cfg.Builder.version in
+  match
+    List.find_opt
+      (fun (k, _) ->
+        k.sk_zone == zone
+        && k.sk_inline = inline
+        && String.equal k.sk_version version
+        && k.sk_analysis = analysis
+        && same_pstore k.sk_pstore pstore)
+      !memo
+  with
+  | Some (_, store) -> store
+  | None ->
+      let persist = summary_persist_for pstore cfg analysis zone in
+      let store = Summary.create_store ?persist () in
+      if List.length !memo >= store_memo_limit then memo := [];
+      memo :=
+        ( {
+            sk_version = version;
+            sk_inline = inline;
+            sk_zone = zone;
+            sk_analysis = analysis;
+            sk_pstore = pstore;
+          },
+          store )
+        :: !memo;
+      store
 
 type verdict = {
   version : string;

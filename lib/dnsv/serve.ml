@@ -60,7 +60,7 @@ let disposition_to_string = function
 type outcome = { reply : string option; disposition : disposition; truncated : bool }
 
 (* Counters live in the registry so `dnsv serve`'s trace export, the
-   stats endpoint and the bench probes see them; [stats] reads the
+   stats endpoint and the benchmark see them; [stats] reads the
    module-local mirror, which [reset_stats] can clear between tests
    without touching the registry. *)
 let answered_c = Trace.Metrics.counter "serve.answered"

@@ -44,27 +44,42 @@ let crc32 (s : string) : int32 = Int32.of_int (crc32_int s)
 (* Framing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The frame codec shared with the verification store, which uses its
+   own magic. *)
+let frame ~magic (payload : string) : string =
+  let n = String.length payload in
+  let b = Bytes.create (12 + n) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_int32_be b 4 (Int32.of_int n);
+  Bytes.set_int32_be b 8 (Int32.of_int (crc32_int payload));
+  Bytes.blit_string payload 0 b 12 n;
+  Bytes.unsafe_to_string b
+
+let scan_frames ~magic (data : string) ~init f =
+  let size = String.length data in
+  let u32 off = Int32.to_int (String.get_int32_be data off) land 0xFFFFFFFF in
+  let rec magic_at p i =
+    i = 4 || (data.[p + i] = magic.[i] && magic_at p (i + 1))
+  in
+  let rec go acc pos =
+    if pos + 12 > size || not (magic_at pos 0) then (acc, pos)
+    else
+      let len = u32 (pos + 4) in
+      if pos + 12 + len > size then (acc, pos)
+      else
+        let payload = String.sub data (pos + 12) len in
+        if crc32_int payload <> u32 (pos + 8) then (acc, pos)
+        else
+          match f acc payload with
+          | None -> (acc, pos)
+          | Some acc -> go acc (pos + 12 + len)
+  in
+  go init 0
+
 let magic = "DJ01"
 
-let be32 (n : int) : string =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xFF));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (n land 0xFF));
-  Bytes.to_string b
-
-let read_be32 (s : string) (off : int) : int =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
-
-let frame (payload : string) : string =
-  magic ^ be32 (String.length payload) ^ be32 (crc32_int payload) ^ payload
-
 let write_record (j : t) (payload : string) : unit =
-  let f = frame payload in
+  let f = frame ~magic payload in
   (* The torn-write fault: half the frame reaches the disk, then the
      process "dies" (the injected exception plays the kill; the CI
      harness uses a real SIGKILL). Flush first so the torn bytes are
@@ -111,40 +126,30 @@ let empty_recovery =
   { header = None; records = []; final = None; dropped_bytes = 0 }
 
 (* Scan the raw bytes: returns the recovery and the byte offset just
-   past the last intact frame. *)
+   past the last intact frame. The payload's first byte tags the record;
+   an empty payload ends the scan, an unknown tag is skipped. *)
 let scan (data : string) : recovery * int =
-  let len = String.length data in
-  let header = ref None and records = ref [] and final = ref None in
-  let pos = ref 0 in
-  let ok = ref true in
-  while !ok do
-    let p = !pos in
-    if p + 12 > len then ok := false
-    else if String.sub data p 4 <> magic then ok := false
-    else
-      let plen = read_be32 data (p + 4) in
-      let crc = read_be32 data (p + 8) in
-      if plen < 1 || p + 12 + plen > len then ok := false
-      else
-        let payload = String.sub data (p + 12) plen in
-        if crc32_int payload <> crc then ok := false
-        else begin
+  let (header, records, final), pos =
+    scan_frames ~magic data ~init:(None, [], None)
+      (fun ((header, records, final) as acc) payload ->
+        let plen = String.length payload in
+        if plen < 1 then None
+        else
           let body = String.sub payload 1 (plen - 1) in
-          (match payload.[0] with
-          | 'H' -> if !header = None then header := Some body
-          | 'R' -> records := body :: !records
-          | 'F' -> final := Some body
-          | _ -> ());
-          pos := p + 12 + plen
-        end
-  done;
+          Some
+            (match payload.[0] with
+            | 'H' when header = None -> (Some body, records, final)
+            | 'R' -> (header, body :: records, final)
+            | 'F' -> (header, records, Some body)
+            | _ -> acc))
+  in
   ( {
-      header = !header;
-      records = List.rev !records;
-      final = !final;
-      dropped_bytes = len - !pos;
+      header;
+      records = List.rev records;
+      final;
+      dropped_bytes = String.length data - pos;
     },
-    !pos )
+    pos )
 
 let read_file (path : string) : string option =
   match open_in_bin path with

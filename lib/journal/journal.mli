@@ -14,6 +14,19 @@ type t
    and for callers that want to fingerprint payloads the same way. *)
 val crc32 : string -> int32
 
+(* The CRC-32 frame, shared with the persistent verification store:
+   [magic] (4 bytes) + be32 payload length + be32 CRC-32 of the payload
+   + the payload. *)
+val frame : magic:string -> string -> string
+
+(* [scan_frames ~magic data ~init f] folds [f] over the intact frames
+   of [data] from offset 0, in order. It stops at the first short
+   frame, bad magic or CRC mismatch, or when [f] returns [None] (the
+   frame it refused is not consumed). Returns the fold and the offset
+   just past the last consumed frame. *)
+val scan_frames :
+  magic:string -> string -> init:'a -> ('a -> string -> 'a option) -> 'a * int
+
 (* Create a fresh journal at [path] (truncating any existing file) and
    write the header record. *)
 val create : path:string -> header:string -> t

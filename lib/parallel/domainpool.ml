@@ -24,17 +24,12 @@ let max_jobs = 64
 
 let clamp_jobs ~ntasks jobs = max 1 (min jobs (min max_jobs ntasks))
 
-(* [map_timed ~jobs f tasks] = [List.map f tasks], fanned out over
-   [jobs] domains, plus the wall-clock seconds each worker domain spent
-   (a [jobs]-length list; [jobs <= 1] reports one entry). *)
-let map_timed ~jobs (f : 'a -> 'b) (tasks : 'a list) : 'b list * float list =
+(* [map ~jobs f tasks] = [List.map f tasks], fanned out over [jobs]
+   domains. *)
+let map ~jobs (f : 'a -> 'b) (tasks : 'a list) : 'b list =
   let ntasks = List.length tasks in
   let jobs = clamp_jobs ~ntasks jobs in
-  if jobs <= 1 then begin
-    let t0 = Unix.gettimeofday () in
-    let results = List.map f tasks in
-    (results, [ Unix.gettimeofday () -. t0 ])
-  end
+  if jobs <= 1 then List.map f tasks
   else begin
     let tasks = Array.of_list tasks in
     (* Each slot carries the task's observability payload alongside its
@@ -50,9 +45,7 @@ let map_timed ~jobs (f : 'a -> 'b) (tasks : 'a list) : 'b list * float list =
         array =
       Array.make ntasks None
     in
-    let walls = Array.make jobs 0.0 in
     let worker w () =
-      let t0 = Unix.gettimeofday () in
       let i = ref w in
       while !i < ntasks do
         (results.(!i) <-
@@ -63,8 +56,7 @@ let map_timed ~jobs (f : 'a -> 'b) (tasks : 'a list) : 'b list * float list =
             | exception e ->
                 Some (Error (e, Printexc.get_raw_backtrace (), delta ()))));
         i := !i + jobs
-      done;
-      walls.(w) <- Unix.gettimeofday () -. t0
+      done
     in
     let domains = Array.init jobs (fun w -> Domain.spawn (worker w)) in
     Array.iter Domain.join domains;
@@ -83,14 +75,9 @@ let map_timed ~jobs (f : 'a -> 'b) (tasks : 'a list) : 'b list * float list =
         | Some (Error (_, _, delta)) -> Trace.Metrics.absorb delta
         | None -> assert false)
       results;
-    let results =
-      Array.to_list results
-      |> List.map (function
-           | Some (Ok (v, _, _)) -> v
-           | Some (Error (e, bt, _)) -> Printexc.raise_with_backtrace e bt
-           | None -> assert false)
-    in
-    (results, Array.to_list walls)
+    Array.to_list results
+    |> List.map (function
+         | Some (Ok (v, _, _)) -> v
+         | Some (Error (e, bt, _)) -> Printexc.raise_with_backtrace e bt
+         | None -> assert false)
   end
-
-let map ~jobs f tasks = fst (map_timed ~jobs f tasks)

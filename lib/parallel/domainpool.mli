@@ -11,7 +11,4 @@
 
 val max_jobs : int
 
-(* [map_timed ~jobs f tasks] also returns the wall-clock seconds each
-   worker spent (length = effective number of workers). *)
-val map_timed : jobs:int -> ('a -> 'b) -> 'a list -> 'b list * float list
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -27,12 +27,6 @@ type tree =
 
 type t = Model_witness of Model.t | Unsat_witness of tree
 
-let rec tree_size = function
-  | Bool_leaf -> 1
-  | Farkas steps -> 1 + List.length steps
-  | Split { if_true; if_false; _ } -> 1 + tree_size if_true + tree_size if_false
-  | Split_neq { left; right; _ } -> 1 + tree_size left + tree_size right
-
 type verdict = Valid | Invalid of string
 
 type validator = {

@@ -47,9 +47,6 @@ type tree =
 
 type t = Model_witness of Model.t | Unsat_witness of tree
 
-(* Size of a tree in nodes: overhead accounting for the bench. *)
-val tree_size : tree -> int
-
 type verdict = Valid | Invalid of string
 
 type validator = {

@@ -104,18 +104,6 @@ let raw () : stats =
     cert_failures = M.value c_cert_failures;
   }
 
-let add_stats ~into:(a : stats) (b : stats) =
-  a.checks <- a.checks + b.checks;
-  a.fast_path <- a.fast_path + b.fast_path;
-  a.dpllt_iterations <- a.dpllt_iterations + b.dpllt_iterations;
-  a.unknowns <- a.unknowns + b.unknowns;
-  a.cache_hits <- a.cache_hits + b.cache_hits;
-  a.cache_misses <- a.cache_misses + b.cache_misses;
-  a.incremental_checks <- a.incremental_checks + b.incremental_checks;
-  a.scratch_checks <- a.scratch_checks + b.scratch_checks;
-  a.cert_checks <- a.cert_checks + b.cert_checks;
-  a.cert_failures <- a.cert_failures + b.cert_failures
-
 let diff_stats (a : stats) (b : stats) : stats =
   {
     checks = a.checks - b.checks;
@@ -142,41 +130,14 @@ let copy_into (dst : stats) (src : stats) =
   dst.cert_checks <- src.cert_checks;
   dst.cert_failures <- src.cert_failures
 
-(* Window and lifetime marks, domain-local. [stats ()] is everything
-   since the last [reset_stats] (called per verification attempt, to
-   scope the per-attempt [unknowns] reads); [lifetime ()] everything
-   since the last [reset_lifetime]. Fresh domains start with zero
-   registry cells and zero marks, so a worker's raw values are already
-   the delta its joiner wants. *)
+(* The window mark, domain-local. [stats ()] is everything since the
+   last [reset_stats] (called per verification attempt, to scope the
+   per-attempt [unknowns] reads). Fresh domains start with zero
+   registry cells and a zero mark. *)
 let mark_key : stats Domain.DLS.key = Domain.DLS.new_key fresh_stats
-let base_key : stats Domain.DLS.key = Domain.DLS.new_key fresh_stats
 
 let stats () : stats = diff_stats (raw ()) (Domain.DLS.get mark_key)
 let reset_stats () = copy_into (Domain.DLS.get mark_key) (raw ())
-let lifetime () : stats = diff_stats (raw ()) (Domain.DLS.get base_key)
-
-let reset_lifetime () =
-  let r = raw () in
-  copy_into (Domain.DLS.get base_key) r;
-  copy_into (Domain.DLS.get mark_key) r
-
-(* Fold a worker domain's stats delta into this domain's lifetime (the
-   legacy join-barrier entry point; Parallel.Domainpool now absorbs
-   whole registry snapshots itself). Advancing the window mark by the
-   same delta keeps the absorption out of the current window,
-   preserving the old fold-into-lifetime-only semantics. *)
-let absorb_stats (delta : stats) =
-  M.add c_checks delta.checks;
-  M.add c_fast_path delta.fast_path;
-  M.add c_dpllt_iterations delta.dpllt_iterations;
-  M.add c_unknowns delta.unknowns;
-  M.add c_cache_hits delta.cache_hits;
-  M.add c_cache_misses delta.cache_misses;
-  M.add c_incremental_checks delta.incremental_checks;
-  M.add c_scratch_checks delta.scratch_checks;
-  M.add c_cert_checks delta.cert_checks;
-  M.add c_cert_failures delta.cert_failures;
-  add_stats ~into:(Domain.DLS.get mark_key) delta
 
 (* The budget in scope for this solver, if any. Scoped rather than
    threaded per-call: every branch decision and refinement obligation
@@ -198,35 +159,9 @@ let with_budget (b : Budget.t) (f : unit -> 'a) : 'a =
 (* Result cache                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The switch is Atomic so `set_caching false` on the main domain (the
-   bench's "seed-equivalent" mode) is observed by worker domains. *)
-let caching = Atomic.make true
-let set_caching b = Atomic.set caching b
-let caching_enabled () = Atomic.get caching
-
-(* Incremental-stack switch (on by default). When off, [Incremental]
-   checks degrade to monolithic [check]s of their full term list — the
-   pre-optimization behavior, kept for before/after measurement. *)
-let incremental = Atomic.make true
-let set_incremental b = Atomic.set incremental b
-let incremental_enabled () = Atomic.get incremental
-
-(* Certificate switch (on by default). When on and a validator is
-   installed (see [Proof.set_validator] / [Cert.install]), every Sat and
-   Unsat answer handed out — fresh, replayed from a cache, or served by
-   the incremental stack's refuted-prefix short-circuit — is validated
-   against its certificate first; a result whose certificate does not
-   check out is degraded to Unknown and counted in
-   [stats.cert_failures], so a corrupted memo entry can degrade a
-   verdict but never flip it. *)
-let certify = Atomic.make true
-let set_certify b = Atomic.set certify b
-let certify_enabled () = Atomic.get certify
-
 (* Persistent-store hook (installed by Store.with_solver from lib/store,
    which sits above this library). Consulted ONLY on in-memory cache
-   misses — hits never pay for it — and only along the caching-enabled
-   paths, so disabling the result cache also disconnects the store.
+   misses — hits never pay for it.
    [p_lookup] is handed the canonical term list of the query and is
    expected to return nothing it cannot justify (the store re-validates
    certificates on load and falls through to a fresh solve on any
@@ -421,81 +356,76 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
     | Lia.Cunsat p -> (Lia.Unsat, p)
     | Lia.Cunknown -> (Lia.Unknown, None)
   in
-  if not (caching_enabled ()) then
-    let r, p = solve () in
-    (r, anchor p)
-  else begin
-    let key = List.map fst keyed in
-    let c = Domain.DLS.get cache_key in
-    match Lia_tbl.find_opt c.lia key with
-    | Some (r, p) ->
-        M.incr c_cache_hits;
-        let r, p =
-          if Faultinject.fire Faultinject.Cache_corrupt then begin
-            let poisoned =
-              match r with
-              | Lia.Sat _ -> (Lia.Unsat, p)
-              | Lia.Unsat | Lia.Unknown ->
-                  (Lia.Sat Lia.String_map.empty, None)
-            in
-            Lia_tbl.replace c.lia key poisoned;
-            poisoned
-          end
-          else (r, p)
-        in
-        (r, anchor p)
-    | None -> (
-        M.incr c_cache_misses;
-        (* In-memory miss: consult the persistent store, keyed by the
-           canonical source-literal terms (the key IS the query, so a
-           stored certificate is term-level and already anchored —
-           served hits bypass [anchor]). The in-memory table holds
-           index-based LIA proofs, so store hits are not inserted here;
-           the store's own domain-local memo makes repeats cheap. *)
-        let term_key = Array.to_list provs in
-        let stored =
-          match persist_installed () with
-          | None -> None
+  let key = List.map fst keyed in
+  let c = Domain.DLS.get cache_key in
+  match Lia_tbl.find_opt c.lia key with
+  | Some (r, p) ->
+      M.incr c_cache_hits;
+      let r, p =
+        if Faultinject.fire Faultinject.Cache_corrupt then begin
+          let poisoned =
+            match r with
+            | Lia.Sat _ -> (Lia.Unsat, p)
+            | Lia.Unsat | Lia.Unknown ->
+                (Lia.Sat Lia.String_map.empty, None)
+          in
+          Lia_tbl.replace c.lia key poisoned;
+          poisoned
+        end
+        else (r, p)
+      in
+      (r, anchor p)
+  | None -> (
+      M.incr c_cache_misses;
+      (* In-memory miss: consult the persistent store, keyed by the
+         canonical source-literal terms (the key IS the query, so a
+         stored certificate is term-level and already anchored —
+         served hits bypass [anchor]). The in-memory table holds
+         index-based LIA proofs, so store hits are not inserted here;
+         the store's own domain-local memo makes repeats cheap. *)
+      let term_key = Array.to_list provs in
+      let stored =
+        match persist_installed () with
+        | None -> None
+        | Some ps -> (
+            match ps.p_lookup term_key with
+            | Some (Sat m, _) ->
+                let lm =
+                  List.fold_left
+                    (fun acc (name, v) ->
+                      match (v : Term.value) with
+                      | Term.VInt n -> Lia.String_map.add name n acc
+                      | Term.VBool _ -> acc)
+                    Lia.String_map.empty (Model.bindings m)
+                in
+                Some (Lia.Sat lm, None)
+            | Some (Unsat, Some (Proof.Unsat_witness tree)) ->
+                Some (Lia.Unsat, Some tree)
+            | Some _ | None -> None)
+      in
+      match stored with
+      | Some rt -> rt
+      | None ->
+          let r, p = solve () in
+          (match r with
+          | Lia.Unknown -> ()
+          | _ ->
+              if Lia_tbl.length c.lia >= cache_limit then Lia_tbl.reset c.lia;
+              Lia_tbl.add c.lia key (r, p));
+          let anchored = anchor p in
+          (match persist_installed () with
+          | None -> ()
           | Some ps -> (
-              match ps.p_lookup term_key with
-              | Some (Sat m, _) ->
-                  let lm =
-                    List.fold_left
-                      (fun acc (name, v) ->
-                        match (v : Term.value) with
-                        | Term.VInt n -> Lia.String_map.add name n acc
-                        | Term.VBool _ -> acc)
-                      Lia.String_map.empty (Model.bindings m)
-                  in
-                  Some (Lia.Sat lm, None)
-              | Some (Unsat, Some (Proof.Unsat_witness tree)) ->
-                  Some (Lia.Unsat, Some tree)
-              | Some _ | None -> None)
-        in
-        match stored with
-        | Some rt -> rt
-        | None ->
-            let r, p = solve () in
-            (match r with
-            | Lia.Unknown -> ()
-            | _ ->
-                if Lia_tbl.length c.lia >= cache_limit then Lia_tbl.reset c.lia;
-                Lia_tbl.add c.lia key (r, p));
-            let anchored = anchor p in
-            (match persist_installed () with
-            | None -> ()
-            | Some ps -> (
-                match (r, anchored) with
-                | Lia.Sat m, _ ->
-                    let model = model_of_lia_model m [] in
-                    ps.p_save term_key
-                      (Sat model, Some (Proof.Model_witness model))
-                | Lia.Unsat, Some t ->
-                    ps.p_save term_key (Unsat, Some (Proof.Unsat_witness t))
-                | Lia.Unsat, None | Lia.Unknown, _ -> ()))
-            ;
-            (r, anchored))
-  end
+              match (r, anchored) with
+              | Lia.Sat m, _ ->
+                  let model = model_of_lia_model m [] in
+                  ps.p_save term_key
+                    (Sat model, Some (Proof.Model_witness model))
+              | Lia.Unsat, Some t ->
+                  ps.p_save term_key (Unsat, Some (Proof.Unsat_witness t))
+              | Lia.Unsat, None | Lia.Unknown, _ -> ()))
+          ;
+          (r, anchored))
 
 (* Contradictory boolean literals? *)
 let contradictory_bools bools =
@@ -544,8 +474,9 @@ let check_fast (ts : Term.t list) : result option =
    coefficient tightening over the query's unit literal conjuncts
    (Lia.presolve) runs before CNF conversion reaches the SAT core: a
    refuted box answers Unsat with zero DPLL(T) iterations, a feasible
-   one seeds entailed theory atoms as unit clauses on the trail. Off =
-   the pre-optimization behavior, kept for before/after measurement. *)
+   one seeds entailed theory atoms as unit clauses on the trail. Off
+   (with learning off) = the legacy discipline, the reference that
+   test_cdcl and fuzz_solver compare the defaults against. *)
 let presolve = Atomic.make true
 let set_presolve b = Atomic.set presolve b
 let presolve_enabled () = Atomic.get presolve
@@ -655,7 +586,7 @@ let check_dpllt (t : Term.t) : result =
                      final derivation — replays against the clause
                      store. A tampered clause (Conflict_corrupt) fails
                      here and the answer degrades, never flips. *)
-                  if (not (certify_enabled ())) || Sat.validate sat then Unsat
+                  if Sat.validate sat then Unsat
                   else begin
                     M.incr c_cert_failures;
                     Trace.event "cert.invalid"
@@ -847,9 +778,9 @@ let certify_unsat_general (ts : Term.t list) : Proof.tree option =
   try Some (solve ts) with Give_up -> None
 
 (* Certificate production for the general path is worth its cost only
-   when someone will check the result: gate it on the switch and on an
-   installed validator. *)
-let want_cert () = certify_enabled () && Proof.validator () <> None
+   when someone will check the result: gate it on an installed
+   validator. *)
+let want_cert () = Proof.validator () <> None
 
 (* The general path, memoized on the sorted+deduped term list. Solving
    happens on the canonical order so a cached model is a pure function
@@ -867,54 +798,51 @@ let check_dpllt_cert (ts : Term.t list) : result * Proof.t option =
             (certify_unsat_general key) )
     | Unsat | Unknown -> (r, None)
   in
-  if not (caching_enabled ()) then with_cert ts (check_dpllt (Term.and_ ts))
-  else begin
-    let key = List.sort_uniq compare ts in
-    let c = Domain.DLS.get cache_key in
-    match Full_tbl.find_opt c.full key with
-    | Some (r, p) ->
-        M.incr c_cache_hits;
-        if Faultinject.fire Faultinject.Cache_corrupt then begin
-          let poisoned =
-            match r with
-            | Sat _ -> (Unsat, p)
-            | Unsat | Unknown -> (Sat Model.empty, None)
-          in
-          Full_tbl.replace c.full key poisoned;
-          poisoned
-        end
-        else (r, p)
-    | None ->
-        M.incr c_cache_misses;
-        (* In-memory miss: consult the persistent store first. The key
-           is the canonical term list, so stored certificates are
-           term-level; a served answer is inserted into the in-memory
-           table like a fresh one (and still passes [validate] on the
-           way out). *)
-        let served, rp =
-          match persist_installed () with
-          | None -> (false, None)
-          | Some ps -> (
-              match ps.p_lookup key with
-              | Some rp -> (true, Some rp)
-              | None -> (false, None))
+  let key = List.sort_uniq compare ts in
+  let c = Domain.DLS.get cache_key in
+  match Full_tbl.find_opt c.full key with
+  | Some (r, p) ->
+      M.incr c_cache_hits;
+      if Faultinject.fire Faultinject.Cache_corrupt then begin
+        let poisoned =
+          match r with
+          | Sat _ -> (Unsat, p)
+          | Unsat | Unknown -> (Sat Model.empty, None)
         in
-        let rp =
-          match rp with
-          | Some rp -> rp
-          | None -> with_cert key (check_dpllt (Term.and_ key))
-        in
-        (match fst rp with
-        | Unknown -> ()
-        | _ ->
-            if Full_tbl.length c.full >= cache_limit then Full_tbl.reset c.full;
-            Full_tbl.add c.full key rp;
-            if not served then
-              match persist_installed () with
-              | None -> ()
-              | Some ps -> ps.p_save key rp);
-        rp
-  end
+        Full_tbl.replace c.full key poisoned;
+        poisoned
+      end
+      else (r, p)
+  | None ->
+      M.incr c_cache_misses;
+      (* In-memory miss: consult the persistent store first. The key
+         is the canonical term list, so stored certificates are
+         term-level; a served answer is inserted into the in-memory
+         table like a fresh one (and still passes [validate] on the
+         way out). *)
+      let served, rp =
+        match persist_installed () with
+        | None -> (false, None)
+        | Some ps -> (
+            match ps.p_lookup key with
+            | Some rp -> (true, Some rp)
+            | None -> (false, None))
+      in
+      let rp =
+        match rp with
+        | Some rp -> rp
+        | None -> with_cert key (check_dpllt (Term.and_ key))
+      in
+      (match fst rp with
+      | Unknown -> ()
+      | _ ->
+          if Full_tbl.length c.full >= cache_limit then Full_tbl.reset c.full;
+          Full_tbl.add c.full key rp;
+          if not served then
+            match persist_installed () with
+            | None -> ()
+            | Some ps -> ps.p_save key rp);
+      rp
 
 (* Shared per-query prologue: charge the budget in scope and give the
    fault plan its arrival. Returns [true] when an Unknown answer was
@@ -937,35 +865,33 @@ let record_result (r : result) : result =
    that cannot be justified — missing certificate, wrong witness kind,
    or a validator rejection — degrades to Unknown and is counted, so a
    corrupted memo entry or a buggy proof emitter can lose a verdict but
-   never flip one. With certification off or no validator installed
-   this is the identity on the result. *)
+   never flip one. With no validator installed this is the identity on
+   the result. *)
 let validate (ts : Term.t list) ((r, cert) : result * Proof.t option) : result =
-  if not (certify_enabled ()) then r
-  else
-    match Proof.validator () with
-    | None -> r
-    | Some v -> (
-        match r with
-        | Unknown -> r
-        | Sat _ | Unsat -> (
-            M.incr c_cert_checks;
-            let verdict =
-              timed h_cert_seconds @@ fun () ->
-              match (r, cert) with
-              | Sat m, _ -> v.Proof.validate_sat ts m
-              | Unsat, Some (Proof.Unsat_witness tree) ->
-                  v.Proof.validate_unsat ts tree
-              | Unsat, Some (Proof.Model_witness _) ->
-                  Proof.Invalid "unsat answer carries a model certificate"
-              | Unsat, None -> Proof.Invalid "missing certificate"
-              | Unknown, _ -> assert false
-            in
-            match verdict with
-            | Proof.Valid -> r
-            | Proof.Invalid why ->
-                M.incr c_cert_failures;
-                Trace.event "cert.invalid" ~attrs:[ ("reason", why) ];
-                Unknown))
+  match Proof.validator () with
+  | None -> r
+  | Some v -> (
+      match r with
+      | Unknown -> r
+      | Sat _ | Unsat -> (
+          M.incr c_cert_checks;
+          let verdict =
+            timed h_cert_seconds @@ fun () ->
+            match (r, cert) with
+            | Sat m, _ -> v.Proof.validate_sat ts m
+            | Unsat, Some (Proof.Unsat_witness tree) ->
+                v.Proof.validate_unsat ts tree
+            | Unsat, Some (Proof.Model_witness _) ->
+                Proof.Invalid "unsat answer carries a model certificate"
+            | Unsat, None -> Proof.Invalid "missing certificate"
+            | Unknown, _ -> assert false
+          in
+          match verdict with
+          | Proof.Valid -> r
+          | Proof.Invalid why ->
+              M.incr c_cert_failures;
+              Trace.event "cert.invalid" ~attrs:[ ("reason", why) ];
+              Unknown))
 
 let check_core_cert (ts : Term.t list) : result * Proof.t option =
   match Term.and_ ts with
@@ -1006,9 +932,6 @@ let entails ~hyps goal =
 (* ------------------------------------------------------------------ *)
 
 module Incremental = struct
-  (* The toplevel monolithic check, before [check] is shadowed below. *)
-  let check_top = check
-
   (* A stack of frames mirroring a path condition. Each frame holds the
      analysis (theory atoms + boolean literals) of the terms asserted at
      that level, so extending the path by one branch decision analyzes
@@ -1125,8 +1048,7 @@ module Incremental = struct
     in
     record_result r
 
-  let check (s : t) : result =
-    if incremental_enabled () then solve s else check_top (terms s)
+  let check (s : t) : result = solve s
 
   (* Decide the satisfiability of path condition [pc] (a cons list,
      newest literal first), syncing the stack to it first. Frames are
@@ -1137,8 +1059,6 @@ module Incremental = struct
      shared prefix keeps the whole prefix warm. *)
   let check_pc (s : t) (pc : Term.t list) : result =
     M.observe h_pc_depth (float_of_int (List.length pc));
-    if not (incremental_enabled ()) then check_top pc
-    else begin
     (* The set of tails of [pc], physically. *)
     let tails =
       let rec go acc l =
@@ -1166,7 +1086,6 @@ module Incremental = struct
     in
     if pc != synced then extend pc;
     solve s
-    end
 
   let entails (s : t) ~hyps goal =
     match check_pc s (Term.not_ goal :: hyps) with

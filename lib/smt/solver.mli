@@ -28,26 +28,14 @@ type stats = {
 }
 
 (* The counters live in the metrics registry (lib/trace) under the
-   "solver.*" names, domain-local as before; the record is a snapshot
-   view over them. [stats ()] is the window since the last
-   [reset_stats]; [lifetime ()] the total since the last
-   [reset_lifetime] (both per-domain). [absorb_stats] folds a worker's
-   delta into the calling domain's registry cells without disturbing
-   its current window — the legacy join-barrier entry point
-   (Parallel.Domainpool now absorbs whole registry snapshots itself). *)
+   "solver.*" names, domain-local; the record is a snapshot view over
+   them. [stats ()] is this domain's window since the last
+   [reset_stats]. *)
 val stats : unit -> stats
 val reset_stats : unit -> unit
-val lifetime : unit -> stats
-val reset_lifetime : unit -> unit
-val absorb_stats : stats -> unit
-val add_stats : into:stats -> stats -> unit
-val diff_stats : stats -> stats -> stats
 
-(* Result-cache switch (on by default). Atomic: flipping it on the main
-   domain is observed by workers. The caches themselves are domain-local;
-   Unknown answers are never cached. *)
-val set_caching : bool -> unit
-val caching_enabled : unit -> bool
+(* Drop this domain's result caches (domain-local; Unknown answers are
+   never cached). *)
 val clear_caches : unit -> unit
 
 (* Bucket statistics of this domain's result-cache tables, by name
@@ -55,28 +43,22 @@ val clear_caches : unit -> unit
    Read-only: for tests and diagnostics. *)
 val cache_stats : unit -> (string * Hashtbl.statistics) list
 
-(* Incremental-stack switch (on by default). When off, [Incremental]
-   checks degrade to monolithic [check]s of their full term list — the
-   pre-optimization behavior, kept for before/after measurement. *)
-val set_incremental : bool -> unit
-val incremental_enabled : unit -> bool
-
-(* Certificate switch (on by default). When on and a validator is
-   installed ([Proof.set_validator], done by [Cert.install]), every Sat
-   and Unsat answer handed out — fresh, replayed from a cache, or served
-   by the incremental stack's refuted-prefix short-circuit — is
-   validated against its certificate first; an unjustifiable answer is
-   degraded to Unknown and counted in [stats.cert_failures]. A corrupted
-   memo entry can therefore degrade a verdict but never flip one. *)
-val set_certify : bool -> unit
-val certify_enabled : unit -> bool
+(* Certificates: when a validator is installed ([Proof.set_validator],
+   done by [Cert.install]), every Sat and Unsat answer handed out —
+   fresh, replayed from a cache, or served by the incremental stack's
+   refuted-prefix short-circuit — is validated against its certificate
+   first; an unjustifiable answer is degraded to Unknown and counted in
+   [stats.cert_failures]. A corrupted memo entry can therefore degrade a
+   verdict but never flip one. *)
 
 (* Theory-aware presolve switch (on by default). Interval bound
    propagation + gcd coefficient tightening over a general query's unit
    literal conjuncts: a refuted box answers Unsat before the SAT core
    is even built (counted in the `presolve.pruned` registry counter), a
    feasible one seeds entailed theory atoms as unit clauses on the
-   trail. Off = the pre-optimization behavior, for measurement. *)
+   trail. Off (with learning off) = the legacy discipline, kept as the
+   reference the tests and the solver fuzzer compare the defaults
+   against. *)
 val set_presolve : bool -> unit
 val presolve_enabled : unit -> bool
 
@@ -89,7 +71,7 @@ val learning_enabled : unit -> bool
 
 (* Persistent-store hook (installed by [Store.with_solver] in lib/store,
    which sits above this library). Consulted only on in-memory cache
-   misses, and only along the caching-enabled paths. [p_lookup] gets
+   misses. [p_lookup] gets
    the canonical term list of a query and must return nothing it cannot
    justify — the store re-validates certificates on load and falls
    through to a fresh solve on any failure; whatever it serves still

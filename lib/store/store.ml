@@ -1,16 +1,16 @@
 (* Crash-safe, certificate-guarded persistent verification store
    (ISSUE 6 tentpole).
 
-   On-disk format: PR 3's CRC-framed append-only discipline — each
-   frame is magic "DS01" + be32 length + be32 CRC-32 + payload. The
-   first frame is a header naming the format ("dnsv-store v1 fmt=1");
-   every later frame is an entry: a key (prefix-tagged content hash)
-   and an opaque payload. Appends are flushed before returning, so a
-   kill at any instant loses at most the entry in flight; opening as a
-   writer truncates any torn tail, exactly like the batch journal. Later
-   frames win on duplicate keys, so a re-solved entry supersedes its
-   predecessor and [gc] compacts to the live set with an atomic
-   tmp+rename.
+   On-disk format: the batch journal's CRC-framed append-only
+   discipline ([Journal.frame]) — each frame is magic "DS01" + be32
+   length + be32 CRC-32 + payload. The first frame is a header naming
+   the format ("dnsv-store v1 fmt=1"); every later frame is an entry: a
+   key (prefix-tagged content hash) and an opaque payload. Appends are
+   flushed before returning, so a kill at any instant loses at most the
+   entry in flight; opening as a writer truncates any torn tail,
+   exactly like the batch journal. Later frames win on duplicate keys,
+   so a re-solved entry supersedes its predecessor and [gc] compacts to
+   the live set with an atomic tmp+rename.
 
    Trust discipline: the store never decides anything. A served solver
    entry is re-validated against its PR 3 certificate before it leaves
@@ -50,40 +50,18 @@ let lock_name = "store.lock"
 (* Frames                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let add_be32 b n =
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (n land 0xFF))
-
-let read_be32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
-
-let crc s = Int32.to_int (Journal.crc32 s) land 0xFFFFFFFF
-
-let frame payload =
-  let b = Buffer.create (String.length payload + 12) in
-  Buffer.add_string b magic;
-  add_be32 b (String.length payload);
-  add_be32 b (crc payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
 let header_frame () =
   let b = Buffer.create 32 in
   Buffer.add_char b 'H';
   Buffer.add_string b header_string;
-  frame (Buffer.contents b)
+  Journal.frame ~magic (Buffer.contents b)
 
 let entry_frame key value =
   let b = Buffer.create (String.length key + String.length value + 16) in
   Buffer.add_char b 'E';
   Codec.wstr b key;
   Codec.wstr b value;
-  frame (Buffer.contents b)
+  Journal.frame ~magic (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                           *)
@@ -113,40 +91,26 @@ let parse_payload payload =
         | exception Codec.Bad _ -> None)
     | _ -> None
 
+(* The header must be the first frame and entries may only follow it;
+   anything else ends the intact prefix. *)
 let scan_file path : scan option =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None
   | data ->
-      let size = String.length data in
-      let header = ref None and entries = ref [] in
-      let pos = ref 0 and ok = ref true in
-      while !ok && !pos + 12 <= size do
-        if String.sub data !pos 4 <> magic then ok := false
-        else begin
-          let len = read_be32 data (!pos + 4) in
-          let sum = read_be32 data (!pos + 8) in
-          if len < 0 || !pos + 12 + len > size then ok := false
-          else begin
-            let payload = String.sub data (!pos + 12) len in
-            if crc payload <> sum then ok := false
-            else
-              match parse_payload payload with
-              | Some (`Header h) when !pos = 0 ->
-                  header := Some h;
-                  pos := !pos + 12 + len
-              | Some (`Entry (k, v)) when !header <> None ->
-                  entries := (k, v) :: !entries;
-                  pos := !pos + 12 + len
-              | _ -> ok := false
-          end
-        end
-      done;
+      let (header, entries), good_end =
+        Journal.scan_frames ~magic data ~init:(None, [])
+          (fun (header, entries) payload ->
+            match parse_payload payload with
+            | Some (`Header h) when header = None -> Some (Some h, entries)
+            | Some (`Entry e) when header <> None -> Some (header, e :: entries)
+            | _ -> None)
+      in
       Some
         {
-          s_header = !header;
-          s_entries = List.rev !entries;
-          s_good_end = !pos;
-          s_size = size;
+          s_header = header;
+          s_entries = List.rev entries;
+          s_good_end = good_end;
+          s_size = String.length data;
         }
 
 (* ------------------------------------------------------------------ *)
@@ -417,48 +381,45 @@ let derived_key ~prefix ~parts : string =
 
 let memo_key_of st key = st.dir ^ "\x00" ^ key
 
-(* Serve nothing unverifiable: the hook is inert unless certification
-   is on and a validator is installed, so every served answer has had
-   its certificate checked — here, and again by the solver's own
-   gatekeeper on the way out. *)
+(* Serve nothing unverifiable: the hook is inert unless a validator is
+   installed, so every served answer has had its certificate checked —
+   here, and again by the solver's own gatekeeper on the way out. *)
 let solver_persist st : Solver.persist =
   let p_lookup ts =
-    if not (Solver.certify_enabled ()) then None
-    else
-      match Proof.validator () with
-      | None -> None
-      | Some v -> (
-          let key = solver_key ts in
-          let memo = Domain.DLS.get serve_memo_key in
-          let mkey = memo_key_of st key in
-          match Hashtbl.find_opt memo mkey with
-          | Some rp -> Some rp
-          | None -> (
-              match find st key with
-              | None -> None
-              | Some payload -> (
-                  let serve rp =
-                    if Hashtbl.length memo >= serve_memo_limit then
-                      Hashtbl.reset memo;
-                    Hashtbl.add memo mkey rp;
-                    Some rp
-                  in
-                  let fail why =
-                    evict ~cert_failure:true st key;
-                    Trace.event "store.invalid"
-                      ~attrs:[ ("key", key); ("why", why) ];
-                    None
-                  in
-                  match Codec.proof_of_string payload with
-                  | exception Codec.Bad why -> fail why
-                  | Proof.Model_witness m as p -> (
-                      match v.Proof.validate_sat ts m with
-                      | Proof.Valid -> serve (Solver.Sat m, Some p)
-                      | Proof.Invalid why -> fail why)
-                  | Proof.Unsat_witness tree as p -> (
-                      match v.Proof.validate_unsat ts tree with
-                      | Proof.Valid -> serve (Solver.Unsat, Some p)
-                      | Proof.Invalid why -> fail why))))
+    match Proof.validator () with
+    | None -> None
+    | Some v -> (
+        let key = solver_key ts in
+        let memo = Domain.DLS.get serve_memo_key in
+        let mkey = memo_key_of st key in
+        match Hashtbl.find_opt memo mkey with
+        | Some rp -> Some rp
+        | None -> (
+            match find st key with
+            | None -> None
+            | Some payload -> (
+                let serve rp =
+                  if Hashtbl.length memo >= serve_memo_limit then
+                    Hashtbl.reset memo;
+                  Hashtbl.add memo mkey rp;
+                  Some rp
+                in
+                let fail why =
+                  evict ~cert_failure:true st key;
+                  Trace.event "store.invalid"
+                    ~attrs:[ ("key", key); ("why", why) ];
+                  None
+                in
+                match Codec.proof_of_string payload with
+                | exception Codec.Bad why -> fail why
+                | Proof.Model_witness m as p -> (
+                    match v.Proof.validate_sat ts m with
+                    | Proof.Valid -> serve (Solver.Sat m, Some p)
+                    | Proof.Invalid why -> fail why)
+                | Proof.Unsat_witness tree as p -> (
+                    match v.Proof.validate_unsat ts tree with
+                    | Proof.Valid -> serve (Solver.Unsat, Some p)
+                    | Proof.Invalid why -> fail why))))
   in
   let p_save ts (r, proof) =
     match (r, proof) with

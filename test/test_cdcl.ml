@@ -8,7 +8,9 @@
    degrade an answer but can never flip one. On the theory side,
    presolve must be sound (a pruned query really is Unsat; derived
    bounds contain every model) and the DPLL(T) loop must answer the
-   same with learning/presolve on and off. *)
+   same with learning/presolve on and off — on random terms, and on the
+   whole verification pipeline, where the defaults must also need at
+   least 2x fewer DPLL(T) iterations than the legacy discipline. *)
 
 open Smt
 
@@ -337,6 +339,38 @@ let test_solver_steps_cap () =
         (Budget.reason_tag reason)
   | _ -> Alcotest.fail "expected solver-steps exhaustion"
 
+(* The whole-pipeline workload (v3.0-fixed on the reference zone,
+   layers and every query type, tracked budget), each arm from cold
+   caches: the CDCL defaults must reach the legacy discipline's verdict
+   fingerprint with at least 2x fewer DPLL(T) iterations, and with at
+   most half of the 1,326 iterations the legacy solver needed when the
+   CDCL core was introduced. *)
+let test_pipeline_vs_legacy () =
+  let run () =
+    Solver.clear_caches ();
+    Dnsv.Pipeline.clear_summary_memo ();
+    let m0 = Trace.Metrics.snapshot () in
+    let v =
+      Dnsv.Pipeline.verify ~budget:(Budget.create ())
+        (Engine.Versions.fixed Engine.Versions.v3_0)
+        Spec.Fixtures.reference_zone
+    in
+    let d = Trace.Metrics.diff (Trace.Metrics.snapshot ()) m0 in
+    (Dnsv.Pipeline.fingerprint v, Trace.Metrics.get d "solver.dpllt_iterations")
+  in
+  let legacy_fp, legacy_iters = legacy run in
+  let fp, iters = run () in
+  Alcotest.(check string) "CDCL fingerprint = legacy fingerprint" legacy_fp fp;
+  check_bool "the pipeline reaches the DPLL(T) loop" true (iters > 0);
+  check_bool
+    (Printf.sprintf "dpllt_iterations %d -> %d: >= 2x fewer" legacy_iters iters)
+    true
+    (2 * iters <= legacy_iters);
+  check_bool
+    (Printf.sprintf "2 * %d dpllt_iterations <= 1326" iters)
+    true
+    (2 * iters <= 1326)
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
@@ -367,6 +401,8 @@ let () =
         [
           Alcotest.test_case "budget solver-steps cap governs the loop"
             `Quick test_solver_steps_cap;
+          Alcotest.test_case "pipeline: CDCL vs. legacy discipline" `Quick
+            test_pipeline_vs_legacy;
         ]
         @ qcheck [ prop_legacy_equivalence; prop_corrupt_never_flips_solver ]
       );

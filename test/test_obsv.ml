@@ -41,17 +41,20 @@ let mk_record i =
     q_deadline_ms = 250.0;
   }
 
-(* Answer [queries] datagrams of a 20%-malformed mix in-process and
-   return the concatenated reply bytes (None replies become \000), so
-   two legs can be compared byte-for-byte. *)
-let serve_leg ?sink queries seed =
+(* Answer [queries] datagrams of a mix (20% malformed by default)
+   in-process and return the concatenated reply bytes (None replies
+   become \000), so two legs can be compared byte-for-byte. [before s i]
+   runs ahead of the [i]th query. *)
+let serve_leg ?sink ?(malformed_pct = 20) ?(before = fun _ _ -> ()) queries
+    seed =
   let s = Serve.create ~config:(v3_cfg ()) Spec.Fixtures.reference_zone in
   (match sink with Some k -> Serve.attach_obsv s k | None -> ());
   let replies = Buffer.create 4096 in
   for i = 0 to queries - 1 do
+    before s i;
     let _, d =
       Loadgen.datagram ~zone:Spec.Fixtures.reference_zone
-        { Loadgen.queries; malformed_pct = 20; seed }
+        { Loadgen.queries; malformed_pct; seed }
         i
     in
     match (Serve.handle s d).Serve.reply with
@@ -59,6 +62,25 @@ let serve_leg ?sink queries seed =
     | None -> Buffer.add_char replies '\000'
   done;
   Buffer.contents replies
+
+(* One scrape round trip through the endpoint's UDP socket: send
+   [request], serve it, return the reply. *)
+let scrape ep s request =
+  let c = Unix.socket PF_INET SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close c with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect c
+        (ADDR_INET (Unix.inet_addr_loopback, Obsv.Endpoint.port ep));
+      ignore (Unix.send_substring c request 0 (String.length request) []);
+      check_bool "request served" true
+        (Obsv.Endpoint.serve_request ep ~respond:(Serve.exposition s));
+      match Unix.select [ c ] [] [] 2.0 with
+      | [], _, _ -> Alcotest.fail "no reply from the endpoint"
+      | _ ->
+          let b = Bytes.create 65536 in
+          let n = Unix.recv c b 0 (Bytes.length b) [] in
+          Bytes.sub_string b 0 n)
 
 (* ------------------------------------------------------------------ *)
 (* Qlog: sampling, codec, journal round-trip                          *)
@@ -196,7 +218,45 @@ let test_sink_fail_never_affects_answers () =
         (Metrics.get d "obsv.sink_failures" > 0);
       check_int "nothing reached the journal" 0 (Obsv.Qlog.logged qlog);
       Obsv.Qlog.close qlog;
-      rm path)
+      rm path;
+      (* The serving probe: 1,200 queries (seed 0x0B51, 10% malformed)
+         answered with observability OFF, ON (a 10%-sampled query log,
+         50 ms SLO windows, and a stats endpoint scraped every 400
+         queries), and with a 100%-sampled sink failing every append.
+         All three reply streams must be byte-identical. *)
+      let probe ~rate_pct =
+        let path = tmpfile () in
+        let qlog = Obsv.Qlog.create ~path ~seed:0x0B51 ~rate_pct () in
+        let ep = Obsv.Endpoint.create () in
+        let windows = Obsv.Windows.create ~window_s:0.05 ~windows:60 () in
+        let before s i =
+          if i > 0 && i mod 400 = 0 then ignore (scrape ep s "stats")
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Obsv.Qlog.close qlog;
+            Obsv.Endpoint.close ep;
+            rm path)
+          (fun () ->
+            serve_leg ~sink:(Obsv.sink ~qlog ~windows ()) ~malformed_pct:10
+              ~before 1200 0x0B51)
+      in
+      let digest leg = Digest.to_hex (Digest.string leg) in
+      let off = digest (serve_leg ~malformed_pct:10 1200 0x0B51) in
+      let m0 = Metrics.snapshot () in
+      check_string "probe: observability ON replies = OFF" off
+        (digest (probe ~rate_pct:10));
+      let m1 = Metrics.snapshot () in
+      Faultinject.arm ~persistent:true ~after:1 Faultinject.Obsv_sink_fail;
+      check_string "probe: failing-sink replies = OFF" off
+        (digest (probe ~rate_pct:100));
+      Faultinject.reset ();
+      check_bool "probe: the ON arm sampled queries" true
+        (Metrics.get (Metrics.diff m1 m0) "obsv.sampled" > 0);
+      check_bool "probe: the failing sink suppressed appends" true
+        (Metrics.get (Metrics.diff (Metrics.snapshot ()) m1)
+           "obsv.sink_failures"
+        > 0))
 
 let test_sink_fail_partial () =
   fi (fun () ->
@@ -390,25 +450,12 @@ let test_expo () =
 let test_endpoint_roundtrip () =
   let ep = Obsv.Endpoint.create () in
   let s = Serve.create ~config:(v3_cfg ()) Spec.Fixtures.reference_zone in
-  let c = Unix.socket PF_INET SOCK_DGRAM 0 in
   Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close c with Unix.Unix_error _ -> ());
-      Obsv.Endpoint.close ep)
+    ~finally:(fun () -> Obsv.Endpoint.close ep)
     (fun () ->
-      Unix.connect c
-        (ADDR_INET (Unix.inet_addr_loopback, Obsv.Endpoint.port ep));
-      ignore (Unix.send c (Bytes.of_string "json") 0 4 []);
-      check_bool "request served" true
-        (Obsv.Endpoint.serve_request ep ~respond:(Serve.exposition s));
-      match Unix.select [ c ] [] [] 2.0 with
-      | [], _, _ -> Alcotest.fail "no reply from the endpoint"
-      | _ -> (
-          let b = Bytes.create 65536 in
-          let n = Unix.recv c b 0 (Bytes.length b) [] in
-          match Trace.Json.parse (Bytes.sub_string b 0 n) with
-          | Ok _ -> ()
-          | Error e -> Alcotest.fail ("endpoint JSON does not parse: " ^ e)))
+      match Trace.Json.parse (scrape ep s "json") with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("endpoint JSON does not parse: " ^ e))
 
 (* Full serving-plane round trip in a forked child: serve_udp with a
    multiplexed stats endpoint, a real query, a mid-load scrape, then

@@ -255,22 +255,35 @@ let test_seeded_walks seed () =
     (fun prop -> QCheck.Test.check_exn ~rand:(Random.State.make [| seed |]) prop)
     [ prop_incremental_matches_monolithic; prop_check_pc_matches_monolithic ]
 
-(* The stack must stay correct with the optimization switched off (the
-   benchmark's seed-equivalent mode falls back to monolithic checks). *)
-let test_incremental_switch () =
-  let s = Solver.Incremental.create () in
-  let pc = [ Term.le x (Term.int 3); Term.le (Term.int 1) x ] in
-  Solver.set_incremental false;
-  let off = Solver.Incremental.check_pc s pc in
-  Solver.set_incremental true;
-  let on_ = Solver.Incremental.check_pc s pc in
-  check_bool "verdicts agree across the incremental switch" true
-    (same_verdict off on_);
-  Solver.set_caching false;
-  let uncached = Solver.Incremental.check_pc s pc in
-  Solver.set_caching true;
-  check_bool "verdicts agree across the caching switch" true
-    (same_verdict uncached on_)
+(* One fork/backtrack walk with known answers, decided from cold caches
+   and again from warm ones: a satisfiable pc, a refuted extension, an
+   extension of the refuted prefix, and a backtrack to the satisfiable
+   parent. Every answer must match the monolithic check, and the warm
+   pass must replay the cold one. *)
+let test_check_pc_cold_and_warm () =
+  let sat_pc = [ Term.le x (Term.int 3); Term.le (Term.int 1) x ] in
+  let refuted = Term.le x (Term.int 0) :: sat_pc in
+  let extended = Term.le y x :: refuted in
+  let walk = [ sat_pc; refuted; extended; sat_pc ] in
+  let decide () =
+    let s = Solver.Incremental.create () in
+    List.map (Solver.Incremental.check_pc s) walk
+  in
+  Solver.clear_caches ();
+  let cold = decide () in
+  let warm = decide () in
+  List.iter2
+    (fun pc (c, w) ->
+      let mono = Solver.check pc in
+      check_bool "cold check_pc agrees with monolithic check" true
+        (same_verdict c mono);
+      check_bool "warm check_pc agrees with cold check_pc" true
+        (same_verdict w c))
+    walk (List.combine cold warm);
+  check_bool "expected verdicts: sat, unsat, unsat, sat" true
+    (List.for_all2 same_verdict cold
+       [ Solver.Sat Model.empty; Solver.Unsat; Solver.Unsat;
+         Solver.Sat Model.empty ])
 
 (* ------------------------------------------------------------------ *)
 (* Result cache                                                       *)
@@ -390,8 +403,8 @@ let () =
         qcheck
           [ prop_incremental_matches_monolithic; prop_check_pc_matches_monolithic ]
         @ [
-            Alcotest.test_case "switches preserve verdicts" `Quick
-              test_incremental_switch;
+            Alcotest.test_case "check_pc: cold and warm verdicts agree" `Quick
+              test_check_pc_cold_and_warm;
             Alcotest.test_case "seed 6 walks agree (regression)" `Quick
               (test_seeded_walks 6);
             Alcotest.test_case "seed 11 walks agree (regression)" `Quick

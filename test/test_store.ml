@@ -166,6 +166,42 @@ let test_store_single_writer_lock () =
   with_store dir (fun st ->
       check_bool "lock released on close" true (Store.writable st))
 
+(* The on-disk bytes of both CRC-framed formats, recorded before the
+   store and the batch journal shared one frame codec: a DS01 header
+   frame plus one entry frame, and a DJ01 header record plus one item
+   record. Both must also scan back. *)
+let test_frames_golden () =
+  let hex s =
+    String.concat ""
+      (List.map
+         (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq s)))
+  in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  with_dir (fun dir ->
+      with_store dir (fun st -> Store.add st "S|key" "payload");
+      check_string "DS01 header + entry frame"
+        ("44533031000000146565601a48646e73762d73746f726520763120666d743d31"
+       ^ "4453303100000011c8c81c2545353a537c6b6579373a7061796c6f6164")
+        (hex (read (data_path dir)));
+      with_store dir (fun st ->
+          check_opt_string "entry scans back" (Some "payload")
+            (Store.find st "S|key")));
+  let path = Filename.temp_file "dnsv-store-test" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let j = Journal.create ~path ~header:"hdr" in
+      Journal.append j "record";
+      Journal.close j;
+      check_string "DJ01 header + item record"
+        ("444a30310000000486ba8be548686472"
+       ^ "444a30310000000703d019d2527265636f7264")
+        (hex (read path));
+      let r = Journal.recover ~path in
+      check_opt_string "header scans back" (Some "hdr") r.Journal.header;
+      check_bool "record scans back" true (r.Journal.records = [ "record" ]))
+
 let test_store_fault_sites () =
   fi @@ fun () ->
   with_dir @@ fun dir ->
@@ -555,6 +591,8 @@ let () =
           Alcotest.test_case "single-writer lock" `Quick
             test_store_single_writer_lock;
           Alcotest.test_case "fault sites" `Quick test_store_fault_sites;
+          Alcotest.test_case "frame bytes match the recorded formats" `Quick
+            test_frames_golden;
         ] );
       ("corruption", qcheck [ prop_flip_never_lies ]);
       ( "analysis",

@@ -333,7 +333,30 @@ let test_loadgen_inproc_all_answered () =
   check_bool "positive qps" true (r.Loadgen.lg_qps > 0.0);
   check_bool "percentiles ordered" true
     (r.Loadgen.lg_p50_ms <= r.Loadgen.lg_p90_ms
-    && r.Loadgen.lg_p90_ms <= r.Loadgen.lg_p99_ms)
+    && r.Loadgen.lg_p90_ms <= r.Loadgen.lg_p99_ms);
+  (* The wire probe: 400 queries per leg (seed 0xD15), an all-valid leg
+     that must be answered in full and a 40%-malformed leg, with no
+     exception escaping the serve loop, no decoder barrier firing, and
+     no malformed-leg timeout. *)
+  let escaped = ref 0 in
+  let transport d =
+    try Loadgen.inproc s d
+    with _ ->
+      incr escaped;
+      None
+  in
+  let leg malformed_pct =
+    Loadgen.run ~zone:(Serve.zone s) transport
+      { Loadgen.queries = 400; malformed_pct; seed = 0xD15 }
+  in
+  let barrier0 = Wire.barrier_hits () in
+  let valid = leg 0 in
+  let malformed = leg 40 in
+  check_bool "probe: valid leg fully answered" true
+    (Loadgen.all_answered valid);
+  check_int "probe: escaped exceptions" 0 !escaped;
+  check_int "probe: barrier hits" 0 (Wire.barrier_hits () - barrier0);
+  check_int "probe: malformed-leg timeouts" 0 malformed.Loadgen.lg_timeouts
 
 let test_loadgen_deterministic_mix () =
   let zone = Spec.Fixtures.reference_zone in
