@@ -1176,7 +1176,6 @@ let serve_cmd =
         Obsv.Qlog.close q
     | None -> ());
     (match stats with Some ep -> Obsv.Endpoint.close ep | None -> ());
-    Format.eprintf "%a@." Dnsv.Serve.pp_stats (Dnsv.Serve.stats ());
     exit 0
   in
   let query_deadline_arg =

@@ -1592,13 +1592,21 @@ type analyze_base = {
   ab_plain : (string, func_facts) Hashtbl.t;
 }
 
-let base_memo_key : (Instr.program * analyze_base) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* Programs are immutable, so hashing one is safe; equality is
+   identity. *)
+module Base_memo = Memo.Make (struct
+  type t = Instr.program
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let base_memo : analyze_base Base_memo.t =
+  Base_memo.create ~name:"analysis.base" ~limit:8
 
 let analyze_base (prog : Instr.program) : analyze_base =
-  let memo = Domain.DLS.get base_memo_key in
-  match List.find_opt (fun (p, _) -> p == prog) !memo with
-  | Some (_, b) -> b
+  match Base_memo.find_opt base_memo prog with
+  | Some b -> b
   | None ->
       let cg = Callgraph.build prog in
       let plain = Hashtbl.create 16 in
@@ -1607,22 +1615,25 @@ let analyze_base (prog : Instr.program) : analyze_base =
           Hashtbl.replace plain f.Instr.fn_name (analyze_func prog f))
         prog.Instr.funcs;
       let b = { ab_cg = cg; ab_pure = pure_set prog cg; ab_plain = plain } in
-      if List.length !memo >= 8 then memo := [];
-      memo := (prog, b) :: !memo;
+      Base_memo.add base_memo prog b;
       b
 
 (* Relational summaries per (program, filtered-field-invariant digest):
    every summarization-window env has no field invariants, so they all
    share one table per program. The persistence hook is part of the key
-   (by identity) so a freshly installed store still sees its loads and
-   saves. *)
-let rsums_memo_key :
-    ((Instr.program * string * ip_persist option)
-    * ((string, rsummary) Hashtbl.t * int * int))
-    list
-    ref
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+   (by identity, unhashed) so a freshly installed store still sees its
+   loads and saves. *)
+module Rsums_memo = Memo.Make (struct
+  type t = Instr.program * string * ip_persist option
+
+  let equal (p, fp, pr) (p', fp', pr') =
+    p == p' && String.equal fp fp' && pr == pr'
+
+  let hash (p, fp, _) = Hashtbl.hash (Hashtbl.hash p, fp)
+end)
+
+let rsums_memo : ((string, rsummary) Hashtbl.t * int * int) Rsums_memo.t =
+  Rsums_memo.create ~name:"analysis.rsums" ~limit:16
 
 let analyze ?env (prog : Instr.program) : summary =
   let { ab_cg = cg; ab_pure = pure; ab_plain = plain } = analyze_base prog in
@@ -1672,13 +1683,8 @@ let analyze ?env (prog : Instr.program) : summary =
     let ff = analyze_func ~lookup ~fieldinv ~pure:is_pure prog f in
     extract_rsummary ff ~pure:(is_pure fn)
   in
-  (let memo = Domain.DLS.get rsums_memo_key in
-   match
-     List.find_opt
-       (fun ((p, fp, pr), _) -> p == prog && fp = envfp && pr == persist)
-       !memo
-   with
-   | Some (_, (tbl, h, m)) ->
+  (match Rsums_memo.find_opt rsums_memo (prog, envfp, persist) with
+   | Some (tbl, h, m) ->
        Hashtbl.iter (fun fn rs -> Hashtbl.replace rsums fn rs) tbl;
        hits := h;
        misses := m
@@ -1718,8 +1724,8 @@ let analyze ?env (prog : Instr.program) : summary =
              end
            end)
          (Callgraph.sccs cg);
-       if List.length !memo >= 16 then memo := [];
-       memo := ((prog, envfp, persist), (Hashtbl.copy rsums, !hits, !misses)) :: !memo);
+       Rsums_memo.add rsums_memo (prog, envfp, persist)
+         (Hashtbl.copy rsums, !hits, !misses));
   (* Context fixpoint: with an env, every non-root function's
      parameters are narrowed to the join of all syntactic call-site
      arguments, iterated (ascending, widened) to a least fixpoint.
@@ -1883,31 +1889,30 @@ let analyze ?env (prog : Instr.program) : summary =
    (structural) environment: the compile memo in Engine.Versions
    already guarantees one program value per version per domain, so
    re-verification never re-analyzes. *)
-let memo_key : ((Instr.program * env option) * summary) list ref Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> ref [])
+module Summary_memo = Memo.Make (struct
+  type t = Instr.program * env option
 
-let memo_limit = 256
+  let equal (p, e) (p', e') = p == p' && e = e'
+  let hash (p, e) = Hashtbl.hash (Hashtbl.hash p, Hashtbl.hash e)
+end)
+
+(* Each engine version accumulates one harness env plus a handful of
+   summarization-window envs. *)
+let summary_memo : summary Summary_memo.t =
+  Summary_memo.create ~name:"analysis.summarize" ~limit:256
 
 let summarize ?env (prog : Instr.program) : summary =
-  let memo = Domain.DLS.get memo_key in
-  match
-    List.find_opt (fun ((p, e), _) -> p == prog && e = env) !memo
-  with
-  | Some (_, s) -> s
+  match Summary_memo.find_opt summary_memo (prog, env) with
+  | Some s -> s
   | None ->
       let s = analyze ?env prog in
-      (* keep the newest half — each engine version accumulates one
-         harness env plus a handful of summarization-window envs *)
-      if List.length !memo >= memo_limit then
-        memo := List.filteri (fun i _ -> i < memo_limit / 2) !memo;
-      memo := ((prog, env), s) :: !memo;
+      Summary_memo.add summary_memo (prog, env) s;
       s
 
 let clear_memo () =
-  Domain.DLS.get memo_key := [];
-  Domain.DLS.get base_memo_key := [];
-  Domain.DLS.get rsums_memo_key := []
+  Summary_memo.clear summary_memo;
+  Base_memo.clear base_memo;
+  Rsums_memo.clear rsums_memo
 
 (* ------------------------------------------------------------------ *)
 (* Query API                                                          *)

@@ -99,9 +99,7 @@ let status_name = function
 let scrub () =
   Faultinject.reset ();
   Solver.clear_caches ();
-  Pipeline.clear_summary_memo ();
-  Store.clear_domain_memos ();
-  Serve.reset_stats ()
+  Pipeline.clear_summary_memo ()
 
 (* ------------------------------------------------------------------ *)
 (* Persistent-store legs                                              *)

@@ -51,7 +51,8 @@ let analysis_tag = function
    in [Engine.Versions.compiled]: a version string uniquely identifies
    the program. The zone and the persistent store are keyed by physical
    identity, so distinct zones (e.g. per-bug witness zones) can never
-   share summaries. *)
+   share summaries; only the structural parts are hashed (a [Store.t]
+   is mutable). *)
 type store_key = {
   sk_version : string;
   sk_inline : bool;
@@ -60,23 +61,28 @@ type store_key = {
   sk_pstore : Store.t option;
 }
 
-let store_memo_key : (store_key * Summary.store) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+module Store_memo = Memo.Make (struct
+  type t = store_key
 
-let store_memo_limit = 32
+  let hash k = Hashtbl.hash (k.sk_version, k.sk_inline, k.sk_analysis)
+
+  let equal a b =
+    a.sk_zone == b.sk_zone
+    && a.sk_inline = b.sk_inline
+    && String.equal a.sk_version b.sk_version
+    && a.sk_analysis = b.sk_analysis
+    && Option.equal ( == ) a.sk_pstore b.sk_pstore
+end)
+
+let store_memo : Summary.store Store_memo.t =
+  Store_memo.create ~name:"pipeline.summary_stores" ~limit:32
 
 (* Benchmark/test isolation: forget this domain's memoized stores (and
    the persistent store's parsed-entry memos, which cache the same
    served artifacts one level down). *)
 let clear_summary_memo () =
-  Domain.DLS.get store_memo_key := [];
+  Store_memo.clear store_memo;
   Store.clear_domain_memos ()
-
-let same_pstore a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> x == y
-  | _ -> false
 
 (* The persistence hook for module summaries: keyed under each
    function's cone fingerprint (an edit invalidates exactly the cone of
@@ -102,34 +108,21 @@ let summary_persist_for (pstore : Store.t option) (cfg : Builder.config)
 
 let store_for ?pstore (cfg : Builder.config) (mode : Check.mode)
     (analysis : Analysis.policy) (zone : Zone.t) : Summary.store =
-  let memo = Domain.DLS.get store_memo_key in
-  let inline = match mode with Check.Inline_all -> true | _ -> false in
-  let version = cfg.Builder.version in
-  match
-    List.find_opt
-      (fun (k, _) ->
-        k.sk_zone == zone
-        && k.sk_inline = inline
-        && String.equal k.sk_version version
-        && k.sk_analysis = analysis
-        && same_pstore k.sk_pstore pstore)
-      !memo
-  with
-  | Some (_, store) -> store
+  let key =
+    {
+      sk_version = cfg.Builder.version;
+      sk_inline = (match mode with Check.Inline_all -> true | _ -> false);
+      sk_zone = zone;
+      sk_analysis = analysis;
+      sk_pstore = pstore;
+    }
+  in
+  match Store_memo.find_opt store_memo key with
+  | Some store -> store
   | None ->
       let persist = summary_persist_for pstore cfg analysis zone in
       let store = Summary.create_store ?persist () in
-      if List.length !memo >= store_memo_limit then memo := [];
-      memo :=
-        ( {
-            sk_version = version;
-            sk_inline = inline;
-            sk_zone = zone;
-            sk_analysis = analysis;
-            sk_pstore = pstore;
-          },
-          store )
-        :: !memo;
+      Store_memo.add store_memo key store;
       store
 
 type verdict = {
@@ -517,12 +510,10 @@ let verify ?(qtypes = all_qtypes) ?(mode = Check.With_summaries)
     elapsed = Unix.gettimeofday () -. t0;
   }
 
-(* Verify over a batch of generated zone configurations (§6.5: each run
-   proves correctness for one concrete zone snapshot). Stops at the
-   first zone exposing a confirmed issue; under a shared budget a
-   deadline overrun ends the batch with partial results instead of
-   hanging, and per-zone inconclusive verdicts are counted without
-   aborting the rest. *)
+(* A batch stops at the first zone exposing a confirmed issue; under a
+   shared budget a deadline overrun ends the batch with partial results
+   instead of hanging, and per-zone inconclusive verdicts are counted
+   without aborting the rest. *)
 type batch_outcome =
   | All_clean of int (* zones verified *)
   | Failed of { zone_index : int; verdict : verdict }
@@ -531,95 +522,6 @@ type batch_outcome =
       inconclusive_zones : int;
       reason : Budget.reason; (* why the batch is incomplete *)
     }
-
-let verify_batch ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0) ?budget
-    ?(retries = 0) ?(jobs = 1) ?(analysis = Analysis.Trust) ?store
-    (cfg : Builder.config) (origin : Name.t) : batch_outcome =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  let zones = Dns.Zonegen.generate_many ~seed ~count origin in
-  (* One zone's verdict depends only on (cfg, zone, qtypes, budget,
-     retries): the merge below consumes verdicts strictly in zone order,
-     so the batch outcome is the same whether the verdicts were computed
-     one by one (jobs <= 1, with the sequential early stop) or in
-     parallel waves of [jobs] zones (where a stop mid-wave discards the
-     rest of the wave). *)
-  let verify_zone (i, zone) =
-    let b = if jobs <= 1 then budget else Budget.clone budget in
-    verify ~qtypes ~check_layers:(i = 0) ~budget:b ~retries ~analysis ?store
-      cfg zone
-  in
-  let finish proved inconcl first_reason =
-    if inconcl = 0 then All_clean count
-    else
-      Partial
-        {
-          zones_done = proved;
-          inconclusive_zones = inconcl;
-          reason =
-            Option.value first_reason
-              ~default:(Budget.Internal_error "inconclusive zones");
-        }
-  in
-  (* Fold one verdict into the accumulator; [Error] is the early stop. *)
-  let step i proved inconcl first_reason v =
-    match status v with
-    | Budget.Proved -> Ok (proved + 1, inconcl, first_reason)
-    | Budget.Refuted _ -> Error (Failed { zone_index = i; verdict = v })
-    | Budget.Inconclusive reason -> (
-        let first =
-          match first_reason with Some _ -> first_reason | None -> Some reason
-        in
-        match reason with
-        | Budget.Deadline_exceeded _ ->
-            (* The shared wall clock is gone: every remaining zone
-               would stop the same way. Return what completed. *)
-            Error
-              (Partial
-                 {
-                   zones_done = proved;
-                   inconclusive_zones = inconcl + 1;
-                   reason;
-                 })
-        | _ -> Ok (proved, inconcl + 1, first))
-  in
-  let indexed = List.mapi (fun i z -> (i, z)) zones in
-  if jobs <= 1 then
-    let rec go proved inconcl first_reason = function
-      | [] -> finish proved inconcl first_reason
-      | (i, zone) :: rest -> (
-          match step i proved inconcl first_reason (verify_zone (i, zone)) with
-          | Ok (proved, inconcl, first) -> go proved inconcl first rest
-          | Error outcome -> outcome)
-    in
-    go 0 0 None indexed
-  else
-    (* Waves of [jobs] zones; each wave joins before the next starts, and
-       its verdicts are merged in zone order. *)
-    let rec take n = function
-      | x :: rest when n > 0 ->
-          let wave, rest' = take (n - 1) rest in
-          (x :: wave, rest')
-      | rest -> ([], rest)
-    in
-    let rec go proved inconcl first_reason = function
-      | [] -> finish proved inconcl first_reason
-      | pending -> (
-          let wave, rest = take jobs pending in
-          let verdicts = Parallel.Domainpool.map ~jobs verify_zone wave in
-          let folded =
-            List.fold_left2
-              (fun acc (i, _) v ->
-                match acc with
-                | Error _ -> acc (* stopped mid-wave: discard the rest *)
-                | Ok (proved, inconcl, first) -> step i proved inconcl first v)
-              (Ok (proved, inconcl, first_reason))
-              wave verdicts
-          in
-          match folded with
-          | Ok (proved, inconcl, first) -> go proved inconcl first rest
-          | Error outcome -> outcome)
-    in
-    go 0 0 None indexed
 
 let pp_verdict fmt (v : verdict) =
   Format.fprintf fmt "@[<v>engine %s on zone %s: %s (%.2fs%s)@," v.version
@@ -858,50 +760,63 @@ let run_fingerprint (items : batch_item list) (count : int) : string =
   Buffer.add_char b '\n';
   Buffer.contents b
 
+(* Fold one item status into (proved, inconclusive, first_reason);
+   [Error] is the early stop with its outcome, shared by live, resumed
+   and replayed items. A refutation has an outcome only when its
+   verdict is at hand ([Some v]): a journal keeps just its
+   fingerprint. *)
+let step_status i st verdict (proved, inconcl, first) =
+  match st with
+  | Item_proved -> Ok (proved + 1, inconcl, first)
+  | Item_refuted ->
+      Error
+        (Option.map (fun v -> Failed { zone_index = i; verdict = v }) verdict)
+  | Item_inconclusive reason -> (
+      let first = match first with Some _ -> first | None -> Some reason in
+      match reason with
+      | Budget.Deadline_exceeded _ ->
+          Error
+            (Some
+               (Partial
+                  {
+                    zones_done = proved;
+                    inconclusive_zones = inconcl + 1;
+                    reason;
+                  }))
+      | _ -> Ok (proved, inconcl + 1, first))
+
+(* Fold [f] over [xs] until it returns [Error]. *)
+let fold_until f init xs =
+  List.fold_left (fun acc x -> Result.bind acc (fun st -> f st x)) (Ok init) xs
+
+let fold_items items =
+  fold_until
+    (fun st it -> step_status it.bi_index it.bi_status None st)
+    (0, 0, None) items
+
+(* The outcome of a batch that verified every zone without stopping. *)
+let finish_outcome count (proved, inconcl, first_reason) =
+  if inconcl = 0 then All_clean count
+  else
+    Partial
+      {
+        zones_done = proved;
+        inconclusive_zones = inconcl;
+        reason =
+          Option.value first_reason
+            ~default:(Budget.Internal_error "inconclusive zones");
+      }
+
 (* Best-effort outcome when the run is replayed entirely from a
-   finalized journal. A refuting verdict is journaled only as its
-   fingerprint, so [Failed] cannot be rebuilt — that replay reports
-   [None] and callers fall back on the item transcript. *)
+   finalized journal: [None] after a refutation (callers fall back on
+   the item transcript) and for a transcript that neither stopped nor
+   covered every zone. *)
 let outcome_of_items (items : batch_item list) (count : int) :
     batch_outcome option =
-  if
-    List.exists
-      (fun it -> match it.bi_status with Item_refuted -> true | _ -> false)
-      items
-  then None
-  else
-    let proved =
-      List.length (List.filter (fun it -> it.bi_status = Item_proved) items)
-    in
-    let inconcl = List.length items - proved in
-    if inconcl = 0 && proved >= count then Some (All_clean count)
-    else if inconcl = 0 then None (* interrupted, never finished *)
-    else
-      let reason =
-        (* A deadline overrun stops the batch, so if it happened it is
-           the last journaled item; it names the outcome like the live
-           fold does. Otherwise the first inconclusive reason wins. *)
-        match List.rev items with
-        | { bi_status = Item_inconclusive (Budget.Deadline_exceeded _ as r); _ }
-          :: _ ->
-            Some r
-        | _ ->
-            List.find_map
-              (fun it ->
-                match it.bi_status with
-                | Item_inconclusive r -> Some r
-                | _ -> None)
-              items
-      in
-      Some
-        (Partial
-           {
-             zones_done = proved;
-             inconclusive_zones = inconcl;
-             reason =
-               Option.value reason
-                 ~default:(Budget.Internal_error "inconclusive zones");
-           })
+  match fold_items items with
+  | Error outcome -> outcome
+  | Ok (proved, 0, _) when proved < count -> None
+  | Ok st -> Some (finish_outcome count st)
 
 (* [verify_batch] with a write-ahead journal and resume: each completed
    zone verdict is appended (status, budget snapshot, fingerprint) and
@@ -920,19 +835,6 @@ let verify_batch_run ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0)
   let header = batch_header cfg origin ~count ~seed ~retries ~qtypes in
   let zones = Dns.Zonegen.generate_many ~seed ~count origin in
   let indexed = List.mapi (fun i z -> (i, z)) zones in
-  (* Fold one item status into (proved, inconclusive, first_reason);
-     [Error] is the early stop, shared between replay and live items. *)
-  let step_status i st (proved, inconcl, first) =
-    match st with
-    | Item_proved -> Ok (proved + 1, inconcl, first)
-    | Item_refuted -> Error (`Failed_at i)
-    | Item_inconclusive reason -> (
-        let first = match first with Some _ -> first | None -> Some reason in
-        match reason with
-        | Budget.Deadline_exceeded _ ->
-            Error (`Deadline (proved, inconcl + 1, reason))
-        | _ -> Ok (proved, inconcl + 1, first))
-  in
   let notify it = match on_item with Some f -> f it | None -> () in
   (* Fired on the calling domain just before a zone's verification is
      dispatched (never for replayed items) — progress reporting. *)
@@ -982,89 +884,41 @@ let verify_batch_run ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0)
         br_dropped_bytes = dropped;
       }
     in
-    let replay_state =
-      List.fold_left
-        (fun acc it ->
-          match acc with
-          | Error _ -> acc
-          | Ok st -> step_status it.bi_index it.bi_status st)
-        (Ok (0, 0, None))
-        replayed
-    in
-    match replay_state with
+    match fold_items replayed with
     (* The killed run had already stopped: nothing left to verify. *)
-    | Error (`Failed_at _) -> finish_run None
-    | Error (`Deadline (proved, inconcl, reason)) ->
-        finish_run
-          (Some
-             (Partial
-                { zones_done = proved; inconclusive_zones = inconcl; reason }))
+    | Error outcome -> finish_run outcome
     | Ok st0 ->
         let pending = List.filter (fun (i, _) -> i >= start) indexed in
-        let finish (proved, inconcl, first_reason) =
-          if inconcl = 0 then All_clean count
-          else
-            Partial
-              {
-                zones_done = proved;
-                inconclusive_zones = inconcl;
-                reason =
-                  Option.value first_reason
-                    ~default:(Budget.Internal_error "inconclusive zones");
-              }
-        in
         let step (i, _) st v =
           let it = item_of i v in
           emit it;
-          match step_status i it.bi_status st with
-          | Ok st -> Ok st
-          | Error (`Failed_at _) ->
-              Error (Failed { zone_index = i; verdict = v })
-          | Error (`Deadline (proved, inconcl, reason)) ->
-              Error
-                (Partial
-                   { zones_done = proved; inconclusive_zones = inconcl; reason })
+          step_status i it.bi_status (Some v) st
         in
-        let outcome =
-          if jobs <= 1 then
-            let rec go st = function
-              | [] -> finish st
-              | iz :: rest -> (
-                  notify_start (fst iz);
-                  match step iz st (verify_zone iz) with
-                  | Ok st -> go st rest
-                  | Error o -> o)
-            in
-            go st0 pending
-          else
-            (* Waves of [jobs] zones, merged in zone order; a stop
-               mid-wave discards (and does not journal) the rest of the
-               wave, matching the sequential early stop exactly. *)
-            let rec take n = function
-              | x :: rest when n > 0 ->
-                  let wave, rest' = take (n - 1) rest in
-                  (x :: wave, rest')
-              | rest -> ([], rest)
-            in
-            let rec go st = function
-              | [] -> finish st
-              | pending -> (
-                  let wave, rest = take jobs pending in
-                  List.iter (fun (i, _) -> notify_start i) wave;
-                  let verdicts = Parallel.Domainpool.map ~jobs verify_zone wave in
-                  let folded =
-                    List.fold_left2
-                      (fun acc iz v ->
-                        match acc with
-                        | Error _ -> acc
-                        | Ok st -> step iz st v)
-                      (Ok st) wave verdicts
-                  in
-                  match folded with Ok st -> go st rest | Error o -> o)
-            in
-            go st0 pending
+        (* Waves of [jobs] zones, merged in zone order; a stop mid-wave
+           discards (and does not journal) the rest of the wave. With
+           one job a wave is one zone verified on this domain, so the
+           early stop is the sequential one. *)
+        let rec take n = function
+          | x :: rest when n > 0 ->
+              let wave, rest' = take (n - 1) rest in
+              (x :: wave, rest')
+          | rest -> ([], rest)
         in
-        finish_run (Some outcome)
+        let rec go st = function
+          | [] -> Some (finish_outcome count st)
+          | pending -> (
+              let wave, rest = take (max 1 jobs) pending in
+              List.iter (fun (i, _) -> notify_start i) wave;
+              let verdicts = Parallel.Domainpool.map ~jobs verify_zone wave in
+              match
+                fold_until
+                  (fun st (iz, v) -> step iz st v)
+                  st (List.combine wave verdicts)
+              with
+              | Ok st -> go st rest
+              | Error o -> o)
+        in
+        finish_run (go st0 pending)
   in
   let guarded jn replayed dropped =
     (* An injected torn-write kill (or any other escape) must not leak
@@ -1112,3 +966,13 @@ let verify_batch_run ?(qtypes = [ Rr.A; Rr.MX ]) ?(count = 10) ?(seed = 0)
             | [] -> ());
             guarded (Some j) items rec_.Journal.dropped_bytes
           end)
+
+(* Verify over a batch of generated zone configurations (§6.5: each run
+   proves correctness for one concrete zone snapshot). Without a
+   journal the run's outcome is always present. *)
+let verify_batch ?qtypes ?count ?seed ?budget ?retries ?jobs ?analysis ?store
+    (cfg : Builder.config) (origin : Name.t) : batch_outcome =
+  Option.get
+    (verify_batch_run ?qtypes ?count ?seed ?budget ?retries ?jobs ?analysis
+       ?store cfg origin)
+      .br_outcome

@@ -89,8 +89,9 @@ type batch_outcome =
       inconclusive_zones : int;
       reason : Budget.reason;
     }
-(* [jobs > 1] verifies zones in parallel waves of [jobs], merging the
-   verdicts in zone order, so the outcome equals the sequential fold. *)
+(* [verify_batch_run] without a journal. [jobs > 1] verifies zones in
+   parallel waves of [jobs], merging the verdicts in zone order, so the
+   outcome equals the sequential fold. *)
 val verify_batch :
   ?qtypes:Check.Rr.rtype list ->
   ?count:int ->

@@ -60,9 +60,7 @@ let disposition_to_string = function
 type outcome = { reply : string option; disposition : disposition; truncated : bool }
 
 (* Counters live in the registry so `dnsv serve`'s trace export, the
-   stats endpoint and the benchmark see them; [stats] reads the
-   module-local mirror, which [reset_stats] can clear between tests
-   without touching the registry. *)
+   stats endpoint and the benchmark see them. *)
 let answered_c = Trace.Metrics.counter "serve.answered"
 let formerr_c = Trace.Metrics.counter "serve.formerr"
 let notimp_c = Trace.Metrics.counter "serve.notimp"
@@ -97,45 +95,20 @@ let note_reason tag =
   if tag <> "" then
     Trace.Metrics.incr (Trace.Metrics.counter ("serve.reason." ^ reason_tag tag))
 
-type stats = {
-  answered : int;
-  formerr : int;
-  notimp : int;
-  servfail : int;
-  dropped : int;
-  truncated : int;
-}
-
-let zero = { answered = 0; formerr = 0; notimp = 0; servfail = 0; dropped = 0; truncated = 0 }
-let st = ref zero
-let stats () = !st
-let reset_stats () = st := zero
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "answered=%d formerr=%d notimp=%d servfail=%d dropped=%d truncated=%d"
-    s.answered s.formerr s.notimp s.servfail s.dropped s.truncated
-
 let note (d : disposition) =
   (match d with
-  | Answered ->
-      Trace.Metrics.incr answered_c;
-      st := { !st with answered = !st.answered + 1 }
+  | Answered -> Trace.Metrics.incr answered_c
   | Formerr e ->
       Trace.Metrics.incr formerr_c;
-      st := { !st with formerr = !st.formerr + 1 };
       Trace.event "serve.formerr" ~attrs:[ ("guard", Wire.error_tag e) ]
   | Notimp op ->
       Trace.Metrics.incr notimp_c;
-      st := { !st with notimp = !st.notimp + 1 };
       Trace.event "serve.notimp" ~attrs:[ ("opcode", string_of_int op) ]
   | Servfail reason ->
       Trace.Metrics.incr servfail_c;
-      st := { !st with servfail = !st.servfail + 1 };
       Trace.event "serve.servfail" ~attrs:[ ("reason", reason) ]
   | Dropped why ->
       Trace.Metrics.incr dropped_c;
-      st := { !st with dropped = !st.dropped + 1 };
       Trace.event "serve.dropped" ~attrs:[ ("why", why) ]);
   d
 
@@ -278,10 +251,7 @@ let handle s datagram =
                   let bytes, truncated =
                     Wire.encode_truncated ~max_size:Wire.max_udp_payload reply
                   in
-                  if truncated then begin
-                    Trace.Metrics.incr truncated_c;
-                    st := { !st with truncated = !st.truncated + 1 }
-                  end;
+                  if truncated then Trace.Metrics.incr truncated_c;
                   { reply = Some bytes; disposition = note Answered; truncated }
               | Error reason ->
                   let servfail =

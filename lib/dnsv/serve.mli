@@ -61,22 +61,6 @@ type outcome = {
 (* Answer one datagram. Total: never raises, whatever the bytes. *)
 val handle : server -> string -> outcome
 
-(* Cumulative counters for this domain (serve.answered, serve.formerr,
-   serve.notimp, serve.servfail, serve.dropped, serve.truncated),
-   reset by [reset_stats]. *)
-type stats = {
-  answered : int;
-  formerr : int;
-  notimp : int;
-  servfail : int;
-  dropped : int;
-  truncated : int;
-}
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
-val pp_stats : Format.formatter -> stats -> unit
-
 (* The full-registry exposition for this server (identity + counters +
    histograms + the attached window ring): what the stats endpoint
    answers a scrape with, and what `dnsv serve` flushes on shutdown. *)

@@ -183,7 +183,7 @@ let persist_installed () = Atomic.get persist_hook
    conjunction, and path conditions share those prefixes: it sends most
    keys of a run to a few buckets, and every lookup then walks a long
    chain of structural compares. *)
-module Lia_tbl = Hashtbl.Make (struct
+module Lia_memo = Memo.Make (struct
   type t = Linear.key list
 
   let equal = ( = )
@@ -198,7 +198,7 @@ module Lia_tbl = Hashtbl.Make (struct
       0 keys
 end)
 
-module Full_tbl = Hashtbl.Make (struct
+module Full_memo = Memo.Make (struct
   type t = Term.t list
 
   let equal = List.equal Term.equal
@@ -226,25 +226,15 @@ end)
    certificates are term-level already (the key is the term list). A
    hit's certificate is re-validated before the cached answer is
    trusted. *)
-type cache = {
-  lia : (Lia.result * Lia.proof option) Lia_tbl.t;
-  full : (result * Proof.t option) Full_tbl.t;
-}
+let lia_memo : (Lia.result * Lia.proof option) Lia_memo.t =
+  Lia_memo.create ~name:"solver.lia" ~limit:(1 lsl 16)
 
-let cache_key : cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { lia = Lia_tbl.create 1024; full = Full_tbl.create 256 })
-
-let cache_limit = 1 lsl 16
+let full_memo : (result * Proof.t option) Full_memo.t =
+  Full_memo.create ~name:"solver.full" ~limit:(1 lsl 16)
 
 let clear_caches () =
-  let c = Domain.DLS.get cache_key in
-  Lia_tbl.reset c.lia;
-  Full_tbl.reset c.full
-
-let cache_stats () =
-  let c = Domain.DLS.get cache_key in
-  [ ("lia", Lia_tbl.stats c.lia); ("full", Full_tbl.stats c.full) ]
+  Lia_memo.clear lia_memo;
+  Full_memo.clear full_memo
 
 exception Not_conjunctive
 
@@ -357,8 +347,7 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
     | Lia.Cunknown -> (Lia.Unknown, None)
   in
   let key = List.map fst keyed in
-  let c = Domain.DLS.get cache_key in
-  match Lia_tbl.find_opt c.lia key with
+  match Lia_memo.find_opt lia_memo key with
   | Some (r, p) ->
       M.incr c_cache_hits;
       let r, p =
@@ -369,7 +358,7 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
             | Lia.Unsat | Lia.Unknown ->
                 (Lia.Sat Lia.String_map.empty, None)
           in
-          Lia_tbl.replace c.lia key poisoned;
+          Lia_memo.replace lia_memo key poisoned;
           poisoned
         end
         else (r, p)
@@ -409,9 +398,7 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
           let r, p = solve () in
           (match r with
           | Lia.Unknown -> ()
-          | _ ->
-              if Lia_tbl.length c.lia >= cache_limit then Lia_tbl.reset c.lia;
-              Lia_tbl.add c.lia key (r, p));
+          | _ -> Lia_memo.add lia_memo key (r, p));
           let anchored = anchor p in
           (match persist_installed () with
           | None -> ()
@@ -799,8 +786,7 @@ let check_dpllt_cert (ts : Term.t list) : result * Proof.t option =
     | Unsat | Unknown -> (r, None)
   in
   let key = List.sort_uniq compare ts in
-  let c = Domain.DLS.get cache_key in
-  match Full_tbl.find_opt c.full key with
+  match Full_memo.find_opt full_memo key with
   | Some (r, p) ->
       M.incr c_cache_hits;
       if Faultinject.fire Faultinject.Cache_corrupt then begin
@@ -809,7 +795,7 @@ let check_dpllt_cert (ts : Term.t list) : result * Proof.t option =
           | Sat _ -> (Unsat, p)
           | Unsat | Unknown -> (Sat Model.empty, None)
         in
-        Full_tbl.replace c.full key poisoned;
+        Full_memo.replace full_memo key poisoned;
         poisoned
       end
       else (r, p)
@@ -836,8 +822,7 @@ let check_dpllt_cert (ts : Term.t list) : result * Proof.t option =
       (match fst rp with
       | Unknown -> ()
       | _ ->
-          if Full_tbl.length c.full >= cache_limit then Full_tbl.reset c.full;
-          Full_tbl.add c.full key rp;
+          Full_memo.add full_memo key rp;
           if not served then
             match persist_installed () with
             | None -> ()

@@ -38,11 +38,6 @@ val reset_stats : unit -> unit
    never cached). *)
 val clear_caches : unit -> unit
 
-(* Bucket statistics of this domain's result-cache tables, by name
-   ("lia": literal conjunctions, "full": the general DPLL(T) path).
-   Read-only: for tests and diagnostics. *)
-val cache_stats : unit -> (string * Hashtbl.statistics) list
-
 (* Certificates: when a validator is installed ([Proof.set_validator],
    done by [Cert.install]), every Sat and Unsat answer handed out —
    fresh, replayed from a cache, or served by the incremental stack's

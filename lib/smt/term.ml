@@ -50,9 +50,8 @@ let sort_error fmt = Format.kasprintf (fun s -> raise (Sort_error s)) fmt
    constructors are physically equal within a domain (maximal sharing).
    [equal] then short-circuits on [==] for the overwhelmingly common
    case, and the solver's memo tables get cheap, well-distributed keys.
-   The table is domain-local rather than global: worker domains of the
-   parallel pipeline each intern independently, so no lock is needed
-   and no domain can observe another's partially-built buckets. *)
+   Like every [Memo], the table is domain-local: worker domains intern
+   independently, without a lock. *)
 
 (* Bounded-depth structural hash: O(1) on arbitrarily deep terms, and
    consistent with structural equality (the interning invariant only
@@ -61,27 +60,21 @@ let hash (t : t) = Hashtbl.hash_param 30 120 t
 
 let equal (a : t) (b : t) = a == b || a = b
 
-module Intern_tbl = Hashtbl.Make (struct
+module Intern = Memo.Make (struct
   type nonrec t = t
 
   let hash = hash
   let equal = equal
 end)
 
-(* Past this many distinct live terms the table is dropped wholesale:
-   interning is an optimization, losing it only costs sharing. *)
-let intern_limit = 1 lsl 17
-
-let intern_key : t Intern_tbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Intern_tbl.create 4096)
+(* Interning is an optimization: an evicted term only costs sharing. *)
+let intern_memo : t Intern.t = Intern.create ~name:"term.intern" ~limit:(1 lsl 17)
 
 let intern (t : t) : t =
-  let tbl = Domain.DLS.get intern_key in
-  match Intern_tbl.find_opt tbl t with
+  match Intern.find_opt intern_memo t with
   | Some t' -> t'
   | None ->
-      if Intern_tbl.length tbl >= intern_limit then Intern_tbl.reset tbl;
-      Intern_tbl.add tbl t t;
+      Intern.add intern_memo t t;
       t
 
 (* Recursively intern a term built with the raw data constructors

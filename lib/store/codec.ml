@@ -39,7 +39,7 @@ let wstr b s =
 
 type reader = { src : string; mutable pos : int }
 
-let reader src = { src; pos = 0 }
+let reader ?(pos = 0) src = { src; pos }
 let at_end r = r.pos >= String.length r.src
 
 let rbyte r =
@@ -194,28 +194,18 @@ let rterm r = Term.hashcons (rterm_raw r)
 (* Per-domain render memo: terms are hash-consed, so physical identity
    makes [Term.hash]/[Term.equal] O(1) keys, and store keys re-render
    the same obligation terms thousands of times per run. *)
-module TH = Hashtbl.Make (struct
-  type t = Term.t
+module Term_memo = Memo.Make (Term)
 
-  let equal = Term.equal
-  let hash = Term.hash
-end)
-
-let term_memo_key : string TH.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> TH.create 1024)
-
-let term_memo_limit = 65_536
+let term_memo : string Term_memo.t = Term_memo.create ~name:"codec.term" ~limit:65_536
 
 let term_to_string (t : Term.t) : string =
-  let memo = Domain.DLS.get term_memo_key in
-  match TH.find_opt memo t with
+  match Term_memo.find_opt term_memo t with
   | Some s -> s
   | None ->
       let b = Buffer.create 64 in
       wterm b t;
       let s = Buffer.contents b in
-      if TH.length memo >= term_memo_limit then TH.reset memo;
-      TH.add memo t s;
+      Term_memo.add term_memo t s;
       s
 
 let term_of_string s =

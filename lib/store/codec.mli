@@ -18,7 +18,8 @@ val wstr : Buffer.t -> string -> unit
 
 type reader
 
-val reader : string -> reader
+(* [pos] (default 0) is where reading starts in the string. *)
+val reader : ?pos:int -> string -> reader
 val at_end : reader -> bool
 val rbyte : reader -> char
 val rint : reader -> int

@@ -267,18 +267,11 @@ let md5 s = Digest.to_hex (Digest.string s)
 
 (* Fingerprints are queried once per store key, which can be thousands
    of times per run over the same compiled program; memoize per program
-   by physical identity, domain-locally (programs are built once per
-   domain by the engine builder). *)
+   by physical identity ([tables_for] below). *)
 type tables = {
-  prog : Instr.program;
   local : (string, string) Hashtbl.t; (* fn -> per-function fp *)
   cone : (string, string) Hashtbl.t; (* fn -> cone fp *)
 }
-
-let memo_key : tables list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let memo_limit = 8
 
 let compute_tables (prog : Instr.program) : tables =
   let local = Hashtbl.create 64 in
@@ -319,17 +312,9 @@ let compute_tables (prog : Instr.program) : tables =
        if not !changed then raise Exit
      done
    with Exit -> ());
-  { prog; local; cone = !cur }
+  { local; cone = !cur }
 
-let tables_for (prog : Instr.program) : tables =
-  let cell = Domain.DLS.get memo_key in
-  match List.find_opt (fun t -> t.prog == prog) !cell with
-  | Some t -> t
-  | None ->
-      let t = compute_tables prog in
-      cell :=
-        t :: (if List.length !cell >= memo_limit then [] else !cell);
-      t
+let tables_for : Instr.program -> tables = Instr.per_program compute_tables
 
 let func_fp prog fn =
   match Hashtbl.find_opt (tables_for prog).local fn with

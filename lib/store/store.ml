@@ -80,7 +80,7 @@ let parse_payload payload =
     match payload.[0] with
     | 'H' -> Some (`Header (String.sub payload 1 (String.length payload - 1)))
     | 'E' -> (
-        let r = Codec.reader (String.sub payload 1 (String.length payload - 1)) in
+        let r = Codec.reader ~pos:1 payload in
         match
           let k = Codec.rstr r in
           let v = Codec.rstr r in
@@ -185,13 +185,12 @@ let entries st = with_mu st (fun () -> Hashtbl.length st.index)
    without this every repeat of a hot query would re-parse and
    re-validate; with it, repeats are one hashtable probe. Only entries
    that passed validation enter. *)
-let serve_memo_key :
-    (string, Solver.result * Proof.t option) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+module Serve_memo = Memo.Make (String)
 
-let serve_memo_limit = 1 lsl 16
+let serve_memo : (Solver.result * Proof.t option) Serve_memo.t =
+  Serve_memo.create ~name:"store.serve" ~limit:(1 lsl 16)
 
-let clear_domain_memos () = Hashtbl.reset (Domain.DLS.get serve_memo_key)
+let clear_domain_memos () = Serve_memo.clear serve_memo
 
 let open_ ?(read_only = false) dirname : t =
   (try Unix.mkdir dirname 0o755
@@ -390,18 +389,15 @@ let solver_persist st : Solver.persist =
     | None -> None
     | Some v -> (
         let key = solver_key ts in
-        let memo = Domain.DLS.get serve_memo_key in
         let mkey = memo_key_of st key in
-        match Hashtbl.find_opt memo mkey with
+        match Serve_memo.find_opt serve_memo mkey with
         | Some rp -> Some rp
         | None -> (
             match find st key with
             | None -> None
             | Some payload -> (
                 let serve rp =
-                  if Hashtbl.length memo >= serve_memo_limit then
-                    Hashtbl.reset memo;
-                  Hashtbl.add memo mkey rp;
+                  Serve_memo.add serve_memo mkey rp;
                   Some rp
                 in
                 let fail why =

@@ -286,6 +286,119 @@ let test_check_pc_cold_and_warm () =
          Solver.Sat Model.empty ])
 
 (* ------------------------------------------------------------------ *)
+(* Bounded memos                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let memo_stat name =
+  match
+    List.find_opt (fun (s : Memo.stat) -> s.Memo.name = name) (Memo.stats ())
+  with
+  | Some s -> s
+  | None -> Alcotest.failf "no memo named %s" name
+
+module Int_memo = Memo.Make (Int)
+
+(* A key looked up once per generation ([limit / 2] inserts) is never
+   lost, however many other keys go in; a table that resets when full
+   loses it at the first reset. *)
+let test_memo_hot_key_survives () =
+  let m = Int_memo.create ~name:"test.survival" ~limit:16 in
+  Int_memo.add m (-1) "hot";
+  for i = 0 to 9_999 do
+    Int_memo.add m i "cold";
+    if i mod 8 = 7 then
+      match Int_memo.find_opt m (-1) with
+      | Some "hot" -> ()
+      | _ -> Alcotest.failf "hot key lost after %d other inserts" (i + 1)
+  done;
+  check_bool "old entries were evicted" true
+    ((memo_stat "test.survival").Memo.evictions > 0)
+
+(* Every entry is held or evicted, and never more than [limit] are held. *)
+let test_memo_bounded () =
+  let m = Int_memo.create ~name:"test.bounded" ~limit:16 in
+  for i = 1 to 1_000 do
+    Int_memo.add m i ();
+    let st = memo_stat "test.bounded" in
+    if st.Memo.entries > 16 then
+      Alcotest.failf "%d entries after %d inserts, limit 16" st.Memo.entries i;
+    Alcotest.(check int) "entries + evictions = inserts" i
+      (st.Memo.entries + st.Memo.evictions)
+  done
+
+let cleared_memos =
+  [
+    ( "Solver.clear_caches",
+      Solver.clear_caches,
+      [ "solver.lia"; "solver.full" ] );
+    ("Store.clear_domain_memos", Store.clear_domain_memos, [ "store.serve" ]);
+    ( "Pipeline.clear_summary_memo",
+      Dnsv.Pipeline.clear_summary_memo,
+      [ "pipeline.summary_stores"; "store.serve" ] );
+    ( "Analysis.clear_memo",
+      Analysis.clear_memo,
+      [ "analysis.summarize"; "analysis.base"; "analysis.rsums" ] );
+  ]
+
+(* What each clear function empties is what "a fresh process" means to
+   the benchmark's cache clearing: exactly its own instances, never the
+   term interning table or the codec's render memo. *)
+let test_memo_clear_scope () =
+  let dir = Filename.temp_file "dnsv-memo-test" "" in
+  Sys.remove dir;
+  let st = Store.open_ dir in
+  let cfg = Engine.Versions.fixed Engine.Versions.v1_0 in
+  let lit = Term.le x (Term.int 1) in
+  let disj = Term.or_ [ lit; Term.le y x ] in
+  let populate () =
+    ignore
+      (Dnsv.Pipeline.verify ~qtypes:[ Dns.Rr.A ] cfg
+         Spec.Fixtures.figure11_zone);
+    (* The second check of each query misses the cleared solver tables
+       and is served from the store through its serve memo. *)
+    Store.with_solver st (fun () ->
+        let both () =
+          ignore (Solver.check [ lit ]);
+          ignore (Solver.check [ disj ])
+        in
+        both ();
+        Solver.clear_caches ();
+        both ());
+    ignore (Solver.check [ Term.le y (Term.int 2) ]);
+    ignore (Store.Codec.term_to_string lit)
+  in
+  let all =
+    List.sort_uniq compare
+      ("term.intern" :: "codec.term"
+      :: List.concat_map (fun (_, _, names) -> names) cleared_memos)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Store.close st;
+      Array.iter
+        (fun e -> Sys.remove (Filename.concat dir e))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (fname, clear, emptied) ->
+          populate ();
+          let entries name = (memo_stat name).Memo.entries in
+          let before = List.map (fun n -> (n, entries n)) all in
+          List.iter
+            (fun (n, e) ->
+              if e = 0 then Alcotest.failf "%s is empty before %s" n fname)
+            before;
+          clear ();
+          List.iter
+            (fun (n, e) ->
+              let expect = if List.mem n emptied then 0 else e in
+              Alcotest.(check int) (Printf.sprintf "%s after %s" n fname) expect
+                (entries n))
+            before)
+        cleared_memos)
+
+(* ------------------------------------------------------------------ *)
 (* Result cache                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -324,7 +437,8 @@ let test_cache_key_spread () =
     ignore (Solver.check (disj_prefix @ [ last ]))
   done;
   List.iter
-    (fun (name, (st : Hashtbl.statistics)) ->
+    (fun name ->
+      let st = (memo_stat name).Memo.buckets in
       check_bool (name ^ " table holds the 2048 keys") true
         (st.Hashtbl.num_bindings >= 2048);
       if st.Hashtbl.max_bucket_length > 16 then
@@ -332,7 +446,7 @@ let test_cache_key_spread () =
           name st.Hashtbl.max_bucket_length
           (Array.fold_left ( + ) 0 st.Hashtbl.bucket_histogram
           - st.Hashtbl.bucket_histogram.(0)))
-    (Solver.cache_stats ())
+    [ "solver.lia"; "solver.full" ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel pipeline determinism                                      *)
@@ -424,5 +538,14 @@ let () =
             `Quick test_parallel_batch_matches_sequential;
           Alcotest.test_case "fault-injected parallel runs replayable" `Quick
             test_parallel_fault_determinism;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "hot key survives a memo's rotations" `Quick
+            test_memo_hot_key_survives;
+          Alcotest.test_case "memo entries never exceed the limit" `Quick
+            test_memo_bounded;
+          Alcotest.test_case "clear functions empty exactly their memos" `Quick
+            test_memo_clear_scope;
         ] );
     ]
