@@ -154,49 +154,42 @@ let store_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
-let no_store_arg =
-  let doc = "Ignore --store: run without the persistent store." in
-  Arg.(value & flag & info [ "no-store" ] ~doc)
-
 (* Open the persistent store (if requested) around [f]. A directory
    held by a live writer opens read-only; opening never fails the run. *)
-let with_store store_dir no_store (f : Store.t option -> 'a) : 'a =
+let with_store store_dir (f : Store.t option -> 'a) : 'a =
   match store_dir with
-  | Some dir when not no_store ->
+  | Some dir ->
       let st = Store.open_ dir in
       Fun.protect
         ~finally:(fun () -> Store.close st)
         (fun () -> f (Some st))
-  | _ -> f None
+  | None -> f None
 
 (* ------------------------------------------------------------------ *)
-(* Static-analysis flags (shared by verify and batch)                 *)
+(* Static-analysis flag (shared by verify and batch)                  *)
 (* ------------------------------------------------------------------ *)
 
-let no_analysis_arg =
+let analysis_arg =
   let doc =
-    "Disable the static analysis: the symbolic executor forks and asks \
-     the solver at every branch, discharging nothing statically."
+    "How the symbolic executor uses the static analysis: $(b,trust) \
+     prunes statically-dead branches without solver calls; $(b,off) \
+     forks and asks the solver at every branch, discharging nothing \
+     statically; $(b,distrust) still makes every solver call and \
+     cross-checks each static claim against the certified solver (the \
+     chaos-soak mode; mismatches are counted under \
+     analysis.crosscheck_mismatch and the solver's answer wins)."
   in
-  Arg.(value & flag & info [ "no-analysis" ] ~doc)
-
-let distrust_analysis_arg =
-  let doc =
-    "Run the analysis but distrust it: every solver call is still made \
-     and each static claim is cross-checked against the certified \
-     solver (the chaos-soak mode). Mismatches are counted under \
-     analysis.crosscheck_mismatch and the solver's answer wins."
+  let parse s =
+    match Analysis.policy_of_string s with
+    | Some p -> Ok p
+    | None -> Error (`Msg ("unknown analysis policy " ^ s))
   in
-  Arg.(value & flag & info [ "distrust-analysis" ] ~doc)
-
-let analysis_of_flags no_analysis distrust =
-  match (no_analysis, distrust) with
-  | true, true ->
-      Printf.eprintf "--no-analysis and --distrust-analysis conflict\n";
-      exit 3
-  | true, false -> Analysis.Off
-  | false, true -> Analysis.Distrust
-  | false, false -> Analysis.Trust
+  let print fmt p = Format.pp_print_string fmt (Analysis.policy_to_string p) in
+  let policy = Arg.conv (parse, print) in
+  Arg.(
+    value
+    & opt policy Analysis.Trust
+    & info [ "analysis" ] ~docv:"trust|off|distrust" ~doc)
 
 (* ------------------------------------------------------------------ *)
 (* Tracing (shared by verify, batch and chaos)                        *)
@@ -258,11 +251,9 @@ let jobs_arg =
 
 let verify_cmd =
   let run version zone_file qtypes inline no_layers deadline solver_steps
-      max_paths retries jobs no_analysis distrust store_dir no_store fault_seed
-      fault_plan trace =
+      max_paths retries jobs analysis store_dir fault_seed fault_plan trace =
     let cfg = config_of_version version in
     let zone = load_zone zone_file in
-    let analysis = analysis_of_flags no_analysis distrust in
     apply_faults fault_seed fault_plan;
     let mode =
       if inline then Refine.Check.Inline_all else Refine.Check.With_summaries
@@ -272,7 +263,7 @@ let verify_cmd =
     in
     let verdict =
       try
-        with_store store_dir no_store (fun store ->
+        with_store store_dir (fun store ->
             with_trace trace (fun () ->
                 Dnsv.Pipeline.verify ~qtypes ~mode
                   ~check_layers:(not no_layers) ~budget ~retries ~jobs
@@ -308,8 +299,8 @@ let verify_cmd =
     Term.(
       const run $ version_arg $ zone_file_arg $ qtypes_arg $ inline $ no_layers
       $ deadline_arg $ solver_steps_arg $ max_paths_arg $ retries_arg
-      $ jobs_arg $ no_analysis_arg $ distrust_analysis_arg $ store_dir_arg
-      $ no_store_arg $ fault_seed_arg $ fault_plan_arg $ trace_arg)
+      $ jobs_arg $ analysis_arg $ store_dir_arg $ fault_seed_arg
+      $ fault_plan_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* batch                                                              *)
@@ -317,8 +308,8 @@ let verify_cmd =
 
 let batch_cmd =
   let run version origin count seed qtypes deadline solver_steps max_paths
-      retries jobs no_analysis distrust store_dir no_store journal resume
-      fault_seed fault_plan trace progress =
+      retries jobs analysis store_dir journal resume fault_seed fault_plan
+      trace progress =
     let cfg = config_of_version version in
     let origin =
       match Name.of_string origin with
@@ -327,7 +318,6 @@ let batch_cmd =
           Printf.eprintf "bad origin %s: %s\n" origin m;
           exit 3
     in
-    let analysis = analysis_of_flags no_analysis distrust in
     apply_faults fault_seed fault_plan;
     let budget =
       Budget.create ?deadline_s:deadline ?solver_steps ?max_paths ()
@@ -373,7 +363,7 @@ let batch_cmd =
     in
     let r =
       try
-        with_store store_dir no_store (fun store ->
+        with_store store_dir (fun store ->
             with_trace trace (fun () ->
                 Dnsv.Pipeline.verify_batch_run ~qtypes ~count ~seed ~budget
                   ~retries ~jobs ~analysis ?store ?journal ~resume ?on_start
@@ -481,9 +471,8 @@ let batch_cmd =
     Term.(
       const run $ version_arg $ origin_arg $ count_arg $ seed_arg $ qtypes_arg
       $ deadline_arg $ solver_steps_arg $ max_paths_arg $ retries_arg
-      $ jobs_arg $ no_analysis_arg $ distrust_analysis_arg $ store_dir_arg
-      $ no_store_arg $ journal_arg $ resume_arg $ fault_seed_arg
-      $ fault_plan_arg $ trace_arg $ progress_arg)
+      $ jobs_arg $ analysis_arg $ store_dir_arg $ journal_arg $ resume_arg
+      $ fault_seed_arg $ fault_plan_arg $ trace_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                              *)
@@ -814,7 +803,7 @@ let write_file_atomic path text =
       Sys.rename tmp path)
 
 let lint_cmd =
-  let run engine golite json baseline update store_dir no_store =
+  let run engine golite json baseline update store_dir =
     (* Each target: display name, program, analysis env, dead-callee
        entry points. Engines get the full interprocedural environment
        (resolve entry facts, Layout field invariants) and `resolve` as
@@ -851,17 +840,14 @@ let lint_cmd =
                 Some [ "resolve" ] ))
             cfgs
     in
-    with_store store_dir no_store @@ fun store ->
+    with_store store_dir @@ fun store ->
     let results =
       List.map
         (fun (name, prog, env, entries) ->
           let with_hooks f =
             match store with
             | None -> f ()
-            | Some st ->
-                Store.with_analysis st
-                  ~cone_of:(fun fn -> Store.Fingerprint.cone_fp prog fn)
-                  f
+            | Some st -> Store.with_analysis st prog f
           in
           with_hooks @@ fun () ->
           let fs = Analysis.Lint.run ?env ?entries prog in
@@ -1019,7 +1005,7 @@ let lint_cmd =
          ])
     Term.(
       const run $ engine_opt_arg $ golite_arg $ json_arg $ baseline_arg
-      $ update_arg $ store_dir_arg $ no_store_arg)
+      $ update_arg $ store_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* store                                                              *)
@@ -1030,14 +1016,6 @@ let store_dir_pos =
     required
     & pos 0 (some string) None
     & info [] ~docv:"DIR" ~doc:"Persistent store directory.")
-
-(* The deep checks know every entry kind the pipeline frames: solver
-   results and summaries are checked by the store itself, layer
-   verdicts and query-type reports by the modules that framed them. *)
-let store_check ~key ~payload =
-  match Dnsv.Pipeline.store_entry_check ~key ~payload with
-  | Some _ as r -> r
-  | None -> Refine.Layers.store_entry_check ~key ~payload
 
 let store_stat_cmd =
   let run dir =
@@ -1077,7 +1055,7 @@ let store_fsck_cmd =
       Printf.eprintf "no store at %s\n" dir;
       exit 3
     end;
-    let r = Store.fsck ~check:store_check dir in
+    let r = Store.fsck dir in
     Format.printf "%a@." Store.pp_fsck r;
     exit (if Store.fsck_clean r then 0 else 1)
   in

@@ -19,13 +19,19 @@ let records_at_typed z name rtype =
       Name.equal r.Rr.rname name && Rr.equal_rtype r.Rr.rtype rtype)
     z.records
 
-(* Every distinct owner name in the zone. *)
+(* Every distinct owner name in the zone, in order of first occurrence.
+   The seen-set keeps this linear; [Name.equal] is structural equality,
+   which is what [Hashtbl] compares with. *)
 let owner_names z =
-  List.fold_left
-    (fun acc (r : Rr.t) ->
-      if List.exists (Name.equal r.Rr.rname) acc then acc else r.Rr.rname :: acc)
-    [] z.records
-  |> List.rev
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun (r : Rr.t) ->
+      if Hashtbl.mem seen r.Rr.rname then None
+      else begin
+        Hashtbl.add seen r.Rr.rname ();
+        Some r.Rr.rname
+      end)
+    z.records
 
 let soa_record z =
   List.find_opt

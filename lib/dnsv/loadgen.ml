@@ -32,6 +32,8 @@ let with_udp ?(timeout_s = 0.5) addr f =
       in
       f transport)
 
+let rtypes = Array.of_list Rr.all_rtypes
+
 (* The valid half of the mix: a seeded walk over the zone's owner
    names plus never-existing children and out-of-zone names, across
    all rtypes — the same name population the differential tests use,
@@ -54,7 +56,6 @@ let datagram ~zone (m : mix) i =
       | 2 -> "nxchild" :: base (* almost surely NXDOMAIN or a referral *)
       | _ -> [ "out"; "of"; "zone" ] (* REFUSED *)
     in
-    let rtypes = Array.of_list Rr.all_rtypes in
     let qtype = rtypes.(Random.State.int r (Array.length rtypes)) in
     let q = { Message.qname; qtype } in
     (`Valid, Wire.encode (Wire.query ~id:(i land 0xFFFF) ~rd:true q))

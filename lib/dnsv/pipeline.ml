@@ -25,24 +25,6 @@ module Summary = Symex.Summary
    the others and are included for completeness. *)
 let all_qtypes = [ Rr.A; Rr.AAAA; Rr.NS; Rr.CNAME; Rr.SOA; Rr.MX; Rr.TXT ]
 
-(* Fingerprint tags shared by the persistent-store keys built here.
-   These mirror the ones in [Refine.Layers]: the zone is keyed by its
-   rendered text, the budget by its semantic limits only (the wall-clock
-   deadline is an operational concern, not part of what was proved). *)
-let zone_fp (zone : Zone.t) =
-  Digest.to_hex (Digest.string (Dns.Zonefile.render zone))
-
-let limits_tag (b : Budget.t) =
-  let num = function None -> "-" | Some n -> string_of_int n in
-  Printf.sprintf "s%s,p%s,f%s"
-    (num b.Budget.max_solver_steps)
-    (num b.Budget.max_paths) (num b.Budget.max_fuel)
-
-let analysis_tag = function
-  | Analysis.Off -> "off"
-  | Analysis.Trust -> "trust"
-  | Analysis.Distrust -> "distrust"
-
 (* Domain-local summary-store memo: one store per (version, mode, zone,
    analysis, persistent store), shared across query types, retries, and
    repeated [verify] calls — re-verifying an unchanged version reuses
@@ -99,12 +81,10 @@ let summary_persist_for (pstore : Store.t option) (cfg : Builder.config)
       | exception _ -> None
       | prog ->
           let tag =
-            Printf.sprintf "z%s,a%s" (zone_fp zone) (analysis_tag analysis)
+            Printf.sprintf "z%s,a%s" (Layers.zone_fp zone)
+              (Analysis.policy_to_string analysis)
           in
-          Some
-            (Store.summary_persist st
-               ~cone_of:(fun fn -> Store.Fingerprint.cone_fp prog fn)
-               ~tag))
+          Some (Store.summary_persist st prog ~tag))
 
 let store_for ?pstore (cfg : Builder.config) (mode : Check.mode)
     (analysis : Analysis.policy) (zone : Zone.t) : Summary.store =
@@ -237,105 +217,87 @@ let report_clean (r : Check.report) =
   && r.Check.cert_failures = 0
   && r.Check.inconclusive = None
 
-let report_key ~prog ~zone ~budget ~qtype ~mode ~analysis ~retries ~escalation
-    =
-  Store.derived_key ~prefix:"R"
-    ~parts:
-      [
-        "report-v2";
-        Store.Fingerprint.cone_fp prog "resolve";
-        zone_fp zone;
-        Rr.rtype_to_string qtype;
-        (match mode with Check.Inline_all -> "inline" | _ -> "summ");
-        analysis_tag analysis;
-        limits_tag budget;
-        Printf.sprintf "r%d,e%d" retries escalation;
-      ]
-
-let report_payload (r : Check.report) (nretries : int) : string =
-  let b = Buffer.create 128 in
-  Store.Codec.wint b nretries;
-  Store.Codec.wint b r.Check.engine_paths;
-  Store.Codec.wint b r.Check.spec_paths;
-  Store.Codec.wint b r.Check.pairs_checked;
-  Store.Codec.wint b r.Check.solver_calls;
-  Store.Codec.wint b r.Check.static_discharged;
-  Store.Codec.wint b r.Check.ip_discharged;
-  Store.Codec.wint b r.Check.cert_checks;
-  Buffer.add_char b (if r.Check.stateless then '1' else '0');
-  Buffer.add_char b (if r.Check.summary_fallback then '1' else '0');
-  Store.Codec.wint b (List.length r.Check.summary_cases);
-  List.iter
-    (fun (fn, n) ->
-      Store.Codec.wstr b fn;
-      Store.Codec.wint b n)
-    r.Check.summary_cases;
-  Buffer.contents b
-
-let report_of_payload ~version ~qtype payload : (Check.report * int) option =
+(* Query-type report entries ("R|"): the payload is the clean report's
+   counts plus the retries it took. Decoding cannot know the version and
+   query type (they are part of the key); [verify] fills them in. *)
+let report_entries =
   let module C = Store.Codec in
-  match
-    let r = C.reader payload in
-    let rbool r =
-      match C.rbyte r with
-      | '1' -> true
-      | '0' -> false
-      | _ -> raise (C.Bad "bool")
-    in
-    let nretries = C.rint r in
-    let engine_paths = C.rint r in
-    let spec_paths = C.rint r in
-    let pairs_checked = C.rint r in
-    let solver_calls = C.rint r in
-    let static_discharged = C.rint r in
-    let ip_discharged = C.rint r in
-    let cert_checks = C.rint r in
-    let stateless = rbool r in
-    let summary_fallback = rbool r in
-    let n = C.rint r in
-    if n < 0 || n > 1_000_000 then raise (C.Bad "summary cases");
-    let cases = ref [] in
-    for _ = 1 to n do
-      let fn = C.rstr r in
-      let k = C.rint r in
-      cases := (fn, k) :: !cases
-    done;
-    if not (C.at_end r) then raise (C.Bad "trailing bytes");
-    ( {
-        Check.version;
-        qtype;
-        engine_paths;
-        spec_paths;
-        pairs_checked;
-        solver_calls;
-        static_discharged;
-        ip_discharged;
-        unknowns = 0;
-        cert_checks;
-        cert_failures = 0;
-        summary_cases = List.rev !cases;
-        summary_times = [];
-        mismatches = [];
-        panics = [];
-        stateless;
-        inconclusive = None;
-        summary_fallback;
-        elapsed = 0.0;
-      },
-      nretries )
-  with
-  | exception C.Bad _ -> None
-  | v -> Some v
-
-(* Deep structural check for [Store.fsck] over entries this module
-   framed ("R|…" keys); [None] for anything else. *)
-let store_entry_check ~key ~payload =
-  if String.length key >= 2 && String.sub key 0 2 = "R|" then
-    Some
-      (match report_of_payload ~version:"" ~qtype:Rr.A payload with
-      | Some _ -> Ok ()
-      | None -> Error "undecodable report payload")
-  else None
+  Store.kind ~prefix:'R' ~name:"report"
+    ~key:(fun (prog, zone, budget, qtype, mode, analysis, retries, escalation) ->
+      Digest.to_hex
+        (Digest.string
+           (String.concat "\x00"
+              [
+                "report-v2";
+                Store.Fingerprint.cone_fp prog "resolve";
+                Layers.zone_fp zone;
+                Rr.rtype_to_string qtype;
+                (match mode with Check.Inline_all -> "inline" | _ -> "summ");
+                Analysis.policy_to_string analysis;
+                Layers.limits_tag budget;
+                Printf.sprintf "r%d,e%d" retries escalation;
+              ])))
+    ~encode:(fun ((r : Check.report), nretries) ->
+      let b = Buffer.create 128 in
+      C.wint b nretries;
+      C.wint b r.Check.engine_paths;
+      C.wint b r.Check.spec_paths;
+      C.wint b r.Check.pairs_checked;
+      C.wint b r.Check.solver_calls;
+      C.wint b r.Check.static_discharged;
+      C.wint b r.Check.ip_discharged;
+      C.wint b r.Check.cert_checks;
+      C.wbool b r.Check.stateless;
+      C.wbool b r.Check.summary_fallback;
+      C.wint b (List.length r.Check.summary_cases);
+      List.iter
+        (fun (fn, n) ->
+          C.wstr b fn;
+          C.wint b n)
+        r.Check.summary_cases;
+      Buffer.contents b)
+    ~decode:
+      (C.whole (fun r ->
+           let nretries = C.rint r in
+           let engine_paths = C.rint r in
+           let spec_paths = C.rint r in
+           let pairs_checked = C.rint r in
+           let solver_calls = C.rint r in
+           let static_discharged = C.rint r in
+           let ip_discharged = C.rint r in
+           let cert_checks = C.rint r in
+           let stateless = C.rbool r in
+           let summary_fallback = C.rbool r in
+           let n = C.rint r in
+           if n < 0 || n > 1_000_000 then raise (C.Bad "summary cases");
+           let summary_cases =
+             List.init n (fun _ ->
+                 let fn = C.rstr r in
+                 (fn, C.rint r))
+           in
+           ( {
+               Check.version = "";
+               qtype = Rr.A;
+               engine_paths;
+               spec_paths;
+               pairs_checked;
+               solver_calls;
+               static_discharged;
+               ip_discharged;
+               unknowns = 0;
+               cert_checks;
+               cert_failures = 0;
+               summary_cases;
+               summary_times = [];
+               mismatches = [];
+               panics = [];
+               stateless;
+               inconclusive = None;
+               summary_fallback;
+               elapsed = 0.0;
+             },
+             nretries )))
+    ~check:(fun _ -> Ok ())
 
 (* Verify [cfg] on [zone] for [qtypes].
 
@@ -390,10 +352,7 @@ let verify ?(qtypes = all_qtypes) ?(mode = Check.With_summaries)
            cones against. *)
         match Versions.compiled cfg with
         | exception _ -> f ()
-        | prog ->
-            Store.with_analysis st
-              ~cone_of:(fun fn -> Store.Fingerprint.cone_fp prog fn)
-              f)
+        | prog -> Store.with_analysis st prog f)
   in
   with_store @@ fun () ->
   let layer_reports =
@@ -458,34 +417,21 @@ let verify ?(qtypes = all_qtypes) ?(mode = Check.With_summaries)
           | prog ->
               Some
                 ( st,
-                  report_key ~prog ~zone ~budget:b ~qtype ~mode ~analysis
-                    ~retries ~escalation ))
+                  Store.key report_entries
+                    (prog, zone, b, qtype, mode, analysis, retries, escalation)
+                ))
       | _ -> None
     in
     match rkey with
     | None -> go 0 0 b
     | Some (st, key) -> (
-        let served =
-          match Store.find st key with
-          | None -> None
-          | Some payload -> (
-              match
-                report_of_payload ~version:cfg.Builder.version ~qtype payload
-              with
-              | Some rv -> Some rv
-              | None ->
-                  (* Undecodable payload: treat exactly like a failed
-                     certificate — evict and recompute. *)
-                  Store.evict ~cert_failure:true st key;
-                  None)
-        in
-        match served with
+        match Store.load st report_entries key ~check:(fun _ -> Ok ()) with
         | Some (r, n) ->
             Trace.add_attr ~det:false "store" "hit";
-            (r, n)
+            ({ r with Check.version = cfg.Builder.version; qtype }, n)
         | None ->
-            let ((r, n) as res) = go 0 0 b in
-            if report_clean r then Store.add st key (report_payload r n);
+            let ((r, _) as res) = go 0 0 b in
+            if report_clean r then Store.save st report_entries key res;
             res)
   in
   let results =
@@ -718,48 +664,6 @@ let parse_item_record (s : string) :
       | _ -> None)
   | _ -> None
 
-(* The derived final line, computed from the item transcript alone so a
-   resumed run and an uninterrupted run of the same workload produce
-   byte-identical text. *)
-let batch_final_line (items : batch_item list) (count : int) : string =
-  match
-    List.find_opt
-      (fun it -> match it.bi_status with Item_refuted -> true | _ -> false)
-      items
-  with
-  | Some it -> Printf.sprintf "failed zone=%d" it.bi_index
-  | None ->
-      let proved =
-        List.length (List.filter (fun it -> it.bi_status = Item_proved) items)
-      in
-      let inconcl = List.length items - proved in
-      if inconcl = 0 && proved >= count then Printf.sprintf "all-clean %d" count
-      else if inconcl = 0 then Printf.sprintf "interrupted done=%d" proved
-      else
-        let reason =
-          List.find_map
-            (fun it ->
-              match it.bi_status with
-              | Item_inconclusive r -> Some r
-              | _ -> None)
-            items
-        in
-        Printf.sprintf "partial done=%d inconclusive=%d reason=%s" proved
-          inconcl
-          (match reason with Some r -> Budget.reason_to_wire r | None -> "-")
-
-let run_fingerprint (items : batch_item list) (count : int) : string =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun it ->
-      Printf.bprintf b "item %d %s\n%s" it.bi_index
-        (item_status_wire it.bi_status)
-        it.bi_fingerprint)
-    items;
-  Buffer.add_string b (batch_final_line items count);
-  Buffer.add_char b '\n';
-  Buffer.contents b
-
 (* Fold one item status into (proved, inconclusive, first_reason);
    [Error] is the early stop with its outcome, shared by live, resumed
    and replayed items. A refutation has an outcome only when its
@@ -817,6 +721,37 @@ let outcome_of_items (items : batch_item list) (count : int) :
   | Error outcome -> outcome
   | Ok (proved, 0, _) when proved < count -> None
   | Ok st -> Some (finish_outcome count st)
+
+(* The derived final line, computed from the item transcript alone
+   through the same fold as the outcome, so a resumed run and an
+   uninterrupted run of the same workload produce byte-identical text
+   and the line names the same reason as the batch outcome. *)
+let batch_final_line (items : batch_item list) (count : int) : string =
+  match outcome_of_items items count with
+  | Some (All_clean n) -> Printf.sprintf "all-clean %d" n
+  | Some (Partial { zones_done; inconclusive_zones; reason }) ->
+      Printf.sprintf "partial done=%d inconclusive=%d reason=%s" zones_done
+        inconclusive_zones
+        (Budget.reason_to_wire reason)
+  | Some (Failed _) | None -> (
+      (* A refutation (a transcript keeps no verdict, so the fold has no
+         outcome for it) or a run that neither stopped nor covered every
+         zone. *)
+      match List.find_opt (fun it -> it.bi_status = Item_refuted) items with
+      | Some it -> Printf.sprintf "failed zone=%d" it.bi_index
+      | None -> Printf.sprintf "interrupted done=%d" (List.length items))
+
+let run_fingerprint (items : batch_item list) (count : int) : string =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun it ->
+      Printf.bprintf b "item %d %s\n%s" it.bi_index
+        (item_status_wire it.bi_status)
+        it.bi_fingerprint)
+    items;
+  Buffer.add_string b (batch_final_line items count);
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 (* [verify_batch] with a write-ahead journal and resume: each completed
    zone verdict is appended (status, budget snapshot, fingerprint) and

@@ -53,11 +53,6 @@ val issues : verdict -> string list
    measure from a cold start. *)
 val clear_summary_memo : unit -> unit
 
-(* Deep structural check for [Store.fsck] over the query-type report
-   entries this module frames ("R|…" keys); [None] for other kinds. *)
-val store_entry_check :
-  key:string -> payload:string -> (unit, string) result option
-
 (* [analysis] selects how the symbolic executor uses the static
    analysis: [Trust] (default) prunes statically-dead branches without
    solver calls, [Off] disables the consultation, [Distrust] makes all

@@ -514,13 +514,10 @@ let layer_setup (prog : Minir.Instr.program) (enc : Dnstree.Encode.t option)
 
 (* ---------------- Persistent layer verdicts ----------------------- *)
 
-(* A *clean* layer verdict (no mismatches, no Unknowns, no rejected
-   certificates, ran to completion) is a pure function of the layer's
-   cone of influence in the program, the zone and the budget limits —
-   so it can be persisted and served across runs and across engine
-   versions that leave the cone untouched. Anything non-clean is never
-   stored: a mismatch must be re-derived (its evidence is not
-   persisted) and a degraded verdict must not outlive its cause. *)
+(* The tags shared by every persistent-store key over a zone and a
+   budget: the zone is keyed by its rendered text, the budget by its
+   semantic limits only (the wall-clock deadline is an operational
+   concern, not part of what was proved). *)
 let zone_fp (zone : Dns.Zone.t) =
   Digest.to_hex (Digest.string (Dns.Zonefile.render zone))
 
@@ -530,57 +527,42 @@ let limits_tag (b : Budget.t) =
     (num b.Budget.max_solver_steps)
     (num b.Budget.max_paths) (num b.Budget.max_fuel)
 
-let layer_store_key ~prog ~zone ~budget layer =
-  Store.derived_key ~prefix:"L"
-    ~parts:
-      [
-        "layer-v1";
-        layer;
-        Store.Fingerprint.cone_fp prog layer;
-        zone_fp zone;
-        limits_tag budget;
-      ]
-
-let layer_clean_payload (r : layer_report) =
-  let b = Buffer.create 32 in
-  Store.Codec.wint b r.code_paths;
-  Store.Codec.wint b r.spec_paths;
-  Store.Codec.wint b r.pairs;
-  Buffer.contents b
-
-let layer_of_clean_payload ~layer ~elapsed payload : layer_report option =
-  match
-    let rd = Store.Codec.reader payload in
-    let code_paths = Store.Codec.rint rd in
-    let spec_paths = Store.Codec.rint rd in
-    let pairs = Store.Codec.rint rd in
-    (code_paths, spec_paths, pairs, Store.Codec.at_end rd)
-  with
-  | code_paths, spec_paths, pairs, true ->
-      Some
-        {
-          layer;
-          code_paths;
-          spec_paths;
-          pairs;
-          mismatches = [];
-          unknowns = 0;
-          cert_failures = 0;
-          inconclusive = None;
-          elapsed;
-        }
-  | _, _, _, false -> None
-  | exception Store.Codec.Bad _ -> None
-
-(* Deep structural check for [Store.fsck] over entries this module
-   framed ("L|…" keys); [None] for anything else. *)
-let store_entry_check ~key ~payload =
-  if String.length key >= 2 && String.sub key 0 2 = "L|" then
-    Some
-      (match layer_of_clean_payload ~layer:"" ~elapsed:0.0 payload with
-      | Some _ -> Ok ()
-      | None -> Error "undecodable layer payload")
-  else None
+(* Layer-verdict entries ("L|"). A *clean* layer verdict (no
+   mismatches, no Unknowns, no rejected certificates, ran to
+   completion) is a pure function of the layer's cone of influence in
+   the program, the zone and the budget limits — so it can be persisted
+   and served across runs and across engine versions that leave the
+   cone untouched. Anything non-clean is never stored: a mismatch must
+   be re-derived (its evidence is not persisted) and a degraded verdict
+   must not outlive its cause. The payload is the clean verdict's
+   (code paths, spec paths, pairs). *)
+let layer_entries =
+  let module C = Store.Codec in
+  Store.kind ~prefix:'L' ~name:"layer"
+    ~key:(fun (prog, zone, budget, layer) ->
+      Digest.to_hex
+        (Digest.string
+           (String.concat "\x00"
+              [
+                "layer-v1";
+                layer;
+                Store.Fingerprint.cone_fp prog layer;
+                zone_fp zone;
+                limits_tag budget;
+              ])))
+    ~encode:(fun (code_paths, spec_paths, pairs) ->
+      let b = Buffer.create 32 in
+      C.wint b code_paths;
+      C.wint b spec_paths;
+      C.wint b pairs;
+      Buffer.contents b)
+    ~decode:
+      (C.whole (fun rd ->
+           let code_paths = C.rint rd in
+           let spec_paths = C.rint rd in
+           let pairs = C.rint rd in
+           (code_paths, spec_paths, pairs)))
+    ~check:(fun _ -> Ok ())
 
 (* Verify one manual layer of [prog] against its specification. Budget
    exhaustion or an escaped exception downgrades the layer to
@@ -598,20 +580,26 @@ let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
   let t0 = Unix.gettimeofday () in
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let skey =
-    Option.map (fun _ -> layer_store_key ~prog ~zone ~budget layer) store
+    Option.map
+      (fun _ -> Store.key layer_entries (prog, zone, budget, layer))
+      store
   in
   let served =
     match (store, skey) with
-    | Some st, Some key -> (
-        match Store.find st key with
-        | None -> None
-        | Some payload -> (
-            let elapsed = Unix.gettimeofday () -. t0 in
-            match layer_of_clean_payload ~layer ~elapsed payload with
-            | Some r -> Some r
-            | None ->
-                Store.evict ~cert_failure:true st key;
-                None))
+    | Some st, Some key ->
+        Store.load st layer_entries key ~check:(fun _ -> Ok ())
+        |> Option.map (fun (code_paths, spec_paths, pairs) ->
+               {
+                 layer;
+                 code_paths;
+                 spec_paths;
+                 pairs;
+                 mismatches = [];
+                 unknowns = 0;
+                 cert_failures = 0;
+                 inconclusive = None;
+                 elapsed = Unix.gettimeofday () -. t0;
+               })
     | _ -> None
   in
   match served with
@@ -677,12 +665,12 @@ let check_layer ?(zone = Spec.Fixtures.figure11_zone) ?budget ?store
           elapsed = Unix.gettimeofday () -. t0;
         }
       in
-      (* Persist clean verdicts only (see the codec note above). *)
+      (* Persist clean verdicts only (see [layer_entries]). *)
       (match (store, skey) with
       | Some st, Some key
         when r.mismatches = [] && r.unknowns = 0 && r.cert_failures = 0
              && r.inconclusive = None ->
-          Store.add st key (layer_clean_payload r)
+          Store.save st layer_entries key (code_paths, spec_paths, pairs)
       | _ -> ());
       r
   | exception e ->

@@ -65,10 +65,11 @@ val layer_setup :
   Minir.Instr.program ->
   Dnstree.Encode.t option ->
   string -> Sval.memory * Sval.sval list * Term.t list
-(* Deep structural check for [Store.fsck] over the layer-verdict
-   entries this module frames ("L|…" keys); [None] for other kinds. *)
-val store_entry_check :
-  key:string -> payload:string -> (unit, string) result option
+(* The tags every persistent-store key over a zone and a budget uses:
+   the zone's rendered text, digested, and the budget's semantic limits
+   (never its wall-clock deadline). *)
+val zone_fp : Dns.Zone.t -> string
+val limits_tag : Budget.t -> string
 
 (* [store] serves a clean layer verdict persisted under the layer's
    cone fingerprint (plus zone and budget-limits tags) and persists

@@ -457,25 +457,6 @@ let check_fast_cert (ts : Term.t list) : (result * Proof.t option) option =
 let check_fast (ts : Term.t list) : result option =
   Option.map fst (check_fast_cert ts)
 
-(* Presolve switch (on by default). Interval bound propagation + gcd
-   coefficient tightening over the query's unit literal conjuncts
-   (Lia.presolve) runs before CNF conversion reaches the SAT core: a
-   refuted box answers Unsat with zero DPLL(T) iterations, a feasible
-   one seeds entailed theory atoms as unit clauses on the trail. Off
-   (with learning off) = the legacy discipline, the reference that
-   test_cdcl and fuzz_solver compare the defaults against. *)
-let presolve = Atomic.make true
-let set_presolve b = Atomic.set presolve b
-let presolve_enabled () = Atomic.get presolve
-
-(* Clause-learning switch (on by default). When off, the DPLL(T) loop
-   reverts to the legacy discipline: every theory refutation blocks the
-   *full* assignment and the SAT search restarts from scratch, instead
-   of learning just the theory conflict core in a persistent solver. *)
-let learning = Atomic.make true
-let set_learning b = Atomic.set learning b
-let learning_enabled () = Atomic.get learning
-
 let c_presolve_pruned = M.counter "presolve.pruned"
 
 (* Hard backstop for the refutation loop when no budget is in scope.
@@ -499,12 +480,21 @@ let unit_atoms_of (t : Term.t) : Linear.atom list =
       | exception Linear.Nonlinear _ -> [])
     conjs
 
-let check_dpllt (t : Term.t) : result =
+(* The DPLL(T) refutation loop. The default discipline runs presolve
+   (interval bound propagation + gcd coefficient tightening over the
+   query's unit literal conjuncts, [Lia.presolve]) before the SAT core
+   is built — a refuted box answers Unsat with zero iterations, a
+   feasible one seeds entailed theory atoms as unit clauses — and learns
+   each theory conflict core in one persistent CDCL solver. [~legacy]
+   is the reference discipline the tests and the solver fuzzer compare
+   against: no presolve, and every theory refutation blocks the *full*
+   assignment and restarts the SAT search from scratch. *)
+let dpllt ~legacy (t : Term.t) : result =
   match Cnf.of_term t with
   | exception Linear.Nonlinear _ -> Unknown
   | cnf -> (
       let presolved =
-        if not (presolve_enabled ()) then None
+        if legacy then None
         else
           match unit_atoms_of t with
           | [] -> None
@@ -522,7 +512,7 @@ let check_dpllt (t : Term.t) : result =
           let box =
             match presolved with Some (Lia.Pfeasible b) -> Some b | _ -> None
           in
-          let learning = learning_enabled () in
+          let learning = not legacy in
           (* Theory atoms entailed one way or the other by the unit
              conjuncts' bound box become unit clauses seeding the
              trail: sound because the unit conjuncts are part of the
@@ -645,6 +635,9 @@ let check_dpllt (t : Term.t) : result =
             end
           in
           loop 0 (fresh_sat []))
+
+let check_dpllt t = dpllt ~legacy:false t
+let check_dpllt_reference t = dpllt ~legacy:true t
 
 (* Certifying re-derivation of a general-path Unsat answer as a split
    tree — the SAT-level "resolution skeleton". Rather than instrument
@@ -924,9 +917,8 @@ module Incremental = struct
      Frames also remember refuted prefixes: once a level is Unsat, every
      extension is answered Unsat without touching the theory solver.
 
-     [node] identifies the path-condition cons cell this frame mirrors
-     (see [check_pc]); frames pushed through the explicit [push] API use
-     an empty node. The two styles must not be mixed on one stack. *)
+     [node] is the path-condition cons cell this frame mirrors (see
+     [check_pc]). *)
   type frame = {
     node : Term.t list;
     mutable terms : Term.t list;
@@ -952,8 +944,6 @@ module Incremental = struct
       unsat_cert = None;
     }
 
-  let push (s : t) = s.frames <- fresh_frame [] :: s.frames
-
   let analyze (f : frame) (term : Term.t) =
     f.terms <- term :: f.terms;
     match literals_of_conjunction_src [ term ] with
@@ -963,18 +953,6 @@ module Incremental = struct
     | exception Not_conjunctive -> f.nonconj <- true
     | exception Linear.Nonlinear _ -> f.nonconj <- true
 
-  let assert_term (s : t) (term : Term.t) =
-    (match s.frames with [] -> push s | _ -> ());
-    match s.frames with
-    | f :: _ -> analyze f term
-    | [] -> assert false
-
-  let pop (s : t) =
-    match s.frames with
-    | [] -> invalid_arg "Solver.Incremental.pop: empty stack"
-    | _ :: rest -> s.frames <- rest
-
-  let depth (s : t) = List.length s.frames
   let terms (s : t) = List.concat_map (fun f -> f.terms) s.frames
 
   (* Answer Unsat for the whole stack, remembering the refutation on the
@@ -1033,8 +1011,6 @@ module Incremental = struct
     in
     record_result r
 
-  let check (s : t) : result = solve s
-
   (* Decide the satisfiability of path condition [pc] (a cons list,
      newest literal first), syncing the stack to it first. Frames are
      keyed by the physical identity of the pc cons cells: the symbolic
@@ -1044,11 +1020,10 @@ module Incremental = struct
      shared prefix keeps the whole prefix warm. *)
   let check_pc (s : t) (pc : Term.t list) : result =
     M.observe h_pc_depth (float_of_int (List.length pc));
-    (* The set of tails of [pc], physically. *)
+    (* The non-empty tails of [pc], physically: every frame mirrors one
+       cons cell. *)
     let tails =
-      let rec go acc l =
-        match l with [] -> [] :: acc | _ :: tl -> go (l :: acc) tl
-      in
+      let rec go acc l = match l with [] -> acc | _ :: tl -> go (l :: acc) tl in
       go [] pc
     in
     let rec prune frames =

@@ -46,24 +46,6 @@ val clear_caches : unit -> unit
    [stats.cert_failures]. A corrupted memo entry can therefore degrade a
    verdict but never flip one. *)
 
-(* Theory-aware presolve switch (on by default). Interval bound
-   propagation + gcd coefficient tightening over a general query's unit
-   literal conjuncts: a refuted box answers Unsat before the SAT core
-   is even built (counted in the `presolve.pruned` registry counter), a
-   feasible one seeds entailed theory atoms as unit clauses on the
-   trail. Off (with learning off) = the legacy discipline, kept as the
-   reference the tests and the solver fuzzer compare the defaults
-   against. *)
-val set_presolve : bool -> unit
-val presolve_enabled : unit -> bool
-
-(* Clause-learning switch (on by default). When off, the DPLL(T) loop
-   reverts to the legacy discipline — each theory refutation blocks the
-   full assignment and the SAT search restarts from scratch — instead
-   of learning the theory conflict core in a persistent CDCL solver. *)
-val set_learning : bool -> unit
-val learning_enabled : unit -> bool
-
 (* Persistent-store hook (installed by [Store.with_solver] in lib/store,
    which sits above this library). Consulted only on in-memory cache
    misses. [p_lookup] gets
@@ -114,6 +96,12 @@ val check_fast : Term.t list -> result option
 val max_dpllt_iterations : int
 val check_dpllt : Term.t -> result
 
+(* The same loop under the legacy discipline — no presolve, and each
+   theory refutation blocks the full assignment and restarts the SAT
+   search — kept as the reference the tests and the solver fuzzer
+   compare [check_dpllt] against. *)
+val check_dpllt_reference : Term.t -> result
+
 (* The certificate-producing core (no budget charge, no validation):
    exposed for the certificate test-suite. *)
 val check_core_cert : Term.t list -> result * Proof.t option
@@ -125,28 +113,20 @@ type entailment = Valid | Counterexample of Model.t | Unknown_validity
 
 val entails : hyps:Term.t list -> Term.t -> entailment
 
-(* Incremental assertion stack: push/assert/pop frames mirroring a path
-   condition, so a branch decision extends the parent path's analyzed
-   solver state by one literal instead of re-translating the whole
-   conjunction. Refuted prefixes short-circuit every extension. Each
-   [check]/[check_pc] charges the budget and fault plan exactly like a
-   top-level [check]. *)
+(* Incremental assertion stack: one frame per path-condition literal,
+   so a branch decision extends the parent path's analyzed solver state
+   by one literal instead of re-translating the whole conjunction.
+   Refuted prefixes short-circuit every extension. Each [check_pc]
+   charges the budget and fault plan exactly like a top-level [check]. *)
 module Incremental : sig
   type t
 
   val create : unit -> t
-  val push : t -> unit
-  val assert_term : t -> Term.t -> unit
-  val pop : t -> unit
-  val depth : t -> int
-  val terms : t -> Term.t list
-  val check : t -> result
 
   (* Decide path condition [pc] (newest literal first), syncing the
      stack to it by physical identity of the cons cells — sibling
      branches and parent paths share tails, and shared literals keep
-     their analysis. Do not mix with the explicit push/assert API on
-     the same stack. *)
+     their analysis. *)
   val check_pc : t -> Term.t list -> result
   val entails : t -> hyps:Term.t list -> Term.t -> entailment
 end

@@ -64,12 +64,27 @@ let rint_until r stop =
 
 let rint r = rint_until r ';'
 
+let wbool b v = Buffer.add_char b (if v then '1' else '0')
+
+let rbool r =
+  match rbyte r with
+  | '1' -> true
+  | '0' -> false
+  | c -> bad "bad bool tag %C" c
+
 let rstr r =
   let n = rint_until r ':' in
   if n < 0 || r.pos + n > String.length r.src then bad "bad string length %d" n;
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
+
+(* Decode a whole payload: bytes left over after [f] are an error. *)
+let whole f s =
+  let r = reader s in
+  let v = f r in
+  if not (at_end r) then bad "trailing bytes";
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Terms                                                              *)
@@ -208,11 +223,7 @@ let term_to_string (t : Term.t) : string =
       Term_memo.add term_memo t s;
       s
 
-let term_of_string s =
-  let r = reader s in
-  let t = rterm r in
-  if not (at_end r) then bad "trailing bytes after term";
-  t
+let term_of_string = whole rterm
 
 (* ------------------------------------------------------------------ *)
 (* Models and proofs                                                  *)
@@ -333,16 +344,12 @@ let proof_to_string (p : Proof.t) : string =
       wtree b t);
   Buffer.contents b
 
-let proof_of_string s : Proof.t =
-  let r = reader s in
-  let p =
-    match rbyte r with
-    | 'M' -> Proof.Model_witness (rmodel r)
-    | 'U' -> Proof.Unsat_witness (hashcons_tree (rtree r))
-    | c -> bad "bad proof tag %C" c
-  in
-  if not (at_end r) then bad "trailing bytes after proof";
-  p
+let proof_of_string : string -> Proof.t =
+  whole (fun r ->
+      match rbyte r with
+      | 'M' -> Proof.Model_witness (rmodel r)
+      | 'U' -> Proof.Unsat_witness (hashcons_tree (rtree r))
+      | c -> bad "bad proof tag %C" c)
 
 (* ------------------------------------------------------------------ *)
 (* Summaries                                                          *)
@@ -559,14 +566,6 @@ let raval r : Analysis.aval =
         | c -> bad "bad nullness tag %C" c)
   | c -> bad "bad aval tag %C" c
 
-let wbool b v = Buffer.add_char b (if v then '1' else '0')
-
-let rbool r =
-  match rbyte r with
-  | '1' -> true
-  | '0' -> false
-  | c -> bad "bad bool tag %C" c
-
 let rsummary_to_string (rs : Analysis.rsummary) : string =
   let b = Buffer.create 256 in
   wstr b rs.Analysis.rs_fn;
@@ -599,8 +598,7 @@ let rsummary_to_string (rs : Analysis.rsummary) : string =
   wbool b rs.Analysis.rs_returns;
   Buffer.contents b
 
-let rsummary_of_string str : Analysis.rsummary =
-  let r = reader str in
+let rrel_summary r : Analysis.rsummary =
   let rs_fn = rstr r in
   let nparams = rint r in
   if nparams < 0 || nparams > 10_000 then bad "bad param count %d" nparams;
@@ -633,7 +631,6 @@ let rsummary_of_string str : Analysis.rsummary =
   let rs_pure = rbool r in
   let rs_may_panic = rbool r in
   let rs_returns = rbool r in
-  if not (at_end r) then bad "trailing bytes after rsummary";
   {
     Analysis.rs_fn;
     rs_params;
@@ -646,8 +643,9 @@ let rsummary_of_string str : Analysis.rsummary =
     rs_returns;
   }
 
-let summary_of_string str : Summary.t =
-  let r = reader str in
+let rsummary_of_string = whole rrel_summary
+
+let rmodule_summary r : Summary.t =
   let fn = rstr r in
   let canon_next_block = rint r in
   let ncases = rint r in
@@ -688,7 +686,8 @@ let summary_of_string str : Summary.t =
         in
         { Summary.cond; writes; allocs; outcome })
   in
-  if not (at_end r) then bad "trailing bytes after summary";
   (* [elapsed] is wall time, not semantics: a replayed summary cost
      nothing to build. *)
   { Summary.fn; cases; canon_next_block; elapsed = 0.0 }
+
+let summary_of_string = whole rmodule_summary

@@ -15,6 +15,7 @@ exception Bad of string
    the same way. *)
 val wint : Buffer.t -> int -> unit
 val wstr : Buffer.t -> string -> unit
+val wbool : Buffer.t -> bool -> unit
 
 type reader
 
@@ -24,6 +25,11 @@ val at_end : reader -> bool
 val rbyte : reader -> char
 val rint : reader -> int
 val rstr : reader -> string
+val rbool : reader -> bool
+
+(* [whole f payload] decodes all of [payload] with [f]; bytes left over
+   raise [Bad]. *)
+val whole : (reader -> 'a) -> string -> 'a
 
 (* Term rendering memoizes per domain (terms are hash-consed; store
    keys re-render the same obligations thousands of times per run). *)

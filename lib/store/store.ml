@@ -12,13 +12,17 @@
    so a re-solved entry supersedes its predecessor and [gc] compacts to
    the live set with an atomic tmp+rename.
 
-   Trust discipline: the store never decides anything. A served solver
-   entry is re-validated against its PR 3 certificate before it leaves
-   [solver_persist] (and again by the solver's own gatekeeper); a served
-   summary is re-validated structurally. Any failure — torn write, bit
-   rot, version skew, codec mismatch — counts [store.cert_failures],
-   evicts the entry and falls through to a fresh solve: a corrupted
-   store can cost time, never truth.
+   Trust discipline: the store never decides anything. Every entry
+   belongs to a declared [kind] (solver results, module summaries,
+   analysis summaries here; layer verdicts and query-type reports in
+   the modules that frame them) and goes through one protocol: [load]
+   finds, decodes, checks structurally, then checks against the request
+   (a solver certificate against its query, a summary against the
+   function asked for). Any failure — torn write, bit rot, version skew,
+   codec mismatch — counts [store.cert_failures], emits [store.invalid],
+   evicts the entry and falls through to a fresh computation: a
+   corrupted store can cost time, never truth. [fsck] runs the same
+   decoders and structural checks offline.
 
    Concurrency: one writer per directory, enforced by a pid lock file
    with stale-lock breaking; every other opener (and any opener under
@@ -166,17 +170,14 @@ type t = {
   index : (string, string) Hashtbl.t;
   mu : Mutex.t;
   mutable dropped_bytes : int; (* torn tail truncated on open *)
-  loaded : int; (* entries salvaged on open *)
 }
 
 let with_mu st f =
   Mutex.lock st.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.mu) f
 
-let dir st = st.dir
 let writable st = st.chan <> None
 let dropped_bytes st = st.dropped_bytes
-let loaded st = st.loaded
 let entries st = with_mu st (fun () -> Hashtbl.length st.index)
 
 (* Domain-local memo of already parsed-and-validated solver answers,
@@ -248,7 +249,6 @@ let open_ ?(read_only = false) dirname : t =
     index;
     mu = Mutex.create ();
     dropped_bytes = !dropped;
-    loaded = Hashtbl.length index;
   }
 
 let close st =
@@ -346,39 +346,90 @@ let gc st : (int, string) result =
           Ok (List.length live))
 
 (* ------------------------------------------------------------------ *)
-(* Keys                                                               *)
+(* Entry kinds: the one persisted-entry protocol                      *)
 (* ------------------------------------------------------------------ *)
+
+(* A kind is everything the store needs to know about one family of
+   entries: its one-letter key prefix, a key builder (the key body after
+   "<prefix>|"), a payload codec whose decoder raises [Codec.Bad], and a
+   structural check that needs no request context. Declaring a kind
+   registers it, so [fsck] deep-checks every kind through the very
+   decoder and check that [load] applies. *)
+type ('k, 'v) kind = {
+  tag : string; (* "<prefix>|" *)
+  key_of : 'k -> string;
+  encode : 'v -> string;
+  decode : string -> 'v;
+  check : 'v -> (unit, string) result;
+}
+
+type declared = { d_name : string; d_check : string -> (unit, string) result }
+
+let declared : (char, declared) Hashtbl.t = Hashtbl.create 8
+
+let structural kind payload =
+  match kind.decode payload with
+  | exception Codec.Bad why -> Error why
+  | v -> ( match kind.check v with Ok () -> Ok v | Error why -> Error why)
+
+let kind ~prefix ~name ~key ~encode ~decode ~check =
+  if Hashtbl.mem declared prefix then
+    invalid_arg (Printf.sprintf "Store.kind: prefix %c declared twice" prefix);
+  let k =
+    { tag = String.make 1 prefix ^ "|"; key_of = key; encode; decode; check }
+  in
+  Hashtbl.replace declared prefix
+    {
+      d_name = name;
+      d_check = (fun payload -> Result.map ignore (structural k payload));
+    };
+  k
+
+let key kind k = kind.tag ^ kind.key_of k
+
+let invalid st key why =
+  evict ~cert_failure:true st key;
+  Trace.event "store.invalid" ~attrs:[ ("key", key); ("why", why) ];
+  None
+
+(* Find, decode, check structurally, then check against the request.
+   Any failure evicts the entry as a certificate failure and names the
+   reason in one [store.invalid] event: the caller recomputes, so a bad
+   entry costs time, never truth. *)
+let load st kind key ~check =
+  match find st key with
+  | None -> None
+  | Some payload -> (
+      match structural kind payload with
+      | Error why -> invalid st key why
+      | Ok v -> (
+          match check v with Ok () -> Some v | Error why -> invalid st key why))
+
+let save st kind key v = add st key (kind.encode v)
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-(* Solver entries: the key is a digest of the canonical term list — the
-   key IS the query, so the stored certificate is term-level. *)
-let solver_key (ts : Term.t list) : string =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun t ->
-      Buffer.add_string b (Codec.term_to_string t);
-      Buffer.add_char b '&')
-    ts;
-  "S|" ^ md5 (Buffer.contents b)
-
-(* Summary entries: cone fingerprint of the summarized function (any
-   edit in its call cone invalidates) + a digest of the workload tag
-   (zone fingerprint, analysis policy — both shape summaries) and the
-   canonical call-shape key. *)
-let summary_key ~cone ~tag ~shape : string =
-  "M|" ^ cone ^ "|" ^ md5 (tag ^ "\x00" ^ shape)
-
-(* Derived-report entries (layer/query verdicts, keyed by the caller):
-   [prefix] is one uppercase letter. *)
-let derived_key ~prefix ~parts : string =
-  prefix ^ "|" ^ md5 (String.concat "\x00" parts)
-
 (* ------------------------------------------------------------------ *)
-(* The solver hook                                                    *)
+(* Solver entries ("S|")                                              *)
 (* ------------------------------------------------------------------ *)
 
-let memo_key_of st key = st.dir ^ "\x00" ^ key
+(* The key is a digest of the canonical term list — the key IS the
+   query, so the stored certificate is term-level and only the query
+   can check it (at load time, against the installed validator). *)
+let solver =
+  kind ~prefix:'S' ~name:"solver"
+    ~key:(fun ts ->
+      let b = Buffer.create 256 in
+      List.iter
+        (fun t ->
+          Buffer.add_string b (Codec.term_to_string t);
+          Buffer.add_char b '&')
+        ts;
+      md5 (Buffer.contents b))
+    ~encode:Codec.proof_to_string ~decode:Codec.proof_of_string
+    ~check:(fun _ -> Ok ())
+
+let validity = function Proof.Valid -> Ok () | Proof.Invalid why -> Error why
 
 (* Serve nothing unverifiable: the hook is inert unless a validator is
    installed, so every served answer has had its certificate checked —
@@ -388,40 +439,33 @@ let solver_persist st : Solver.persist =
     match Proof.validator () with
     | None -> None
     | Some v -> (
-        let key = solver_key ts in
-        let mkey = memo_key_of st key in
+        let key = key solver ts in
+        let mkey = st.dir ^ "\x00" ^ key in
         match Serve_memo.find_opt serve_memo mkey with
         | Some rp -> Some rp
         | None -> (
-            match find st key with
+            let check = function
+              | Proof.Model_witness m -> validity (v.Proof.validate_sat ts m)
+              | Proof.Unsat_witness tree ->
+                  validity (v.Proof.validate_unsat ts tree)
+            in
+            match load st solver key ~check with
             | None -> None
-            | Some payload -> (
-                let serve rp =
-                  Serve_memo.add serve_memo mkey rp;
-                  Some rp
+            | Some p ->
+                let r =
+                  match p with
+                  | Proof.Model_witness m -> Solver.Sat m
+                  | Proof.Unsat_witness _ -> Solver.Unsat
                 in
-                let fail why =
-                  evict ~cert_failure:true st key;
-                  Trace.event "store.invalid"
-                    ~attrs:[ ("key", key); ("why", why) ];
-                  None
-                in
-                match Codec.proof_of_string payload with
-                | exception Codec.Bad why -> fail why
-                | Proof.Model_witness m as p -> (
-                    match v.Proof.validate_sat ts m with
-                    | Proof.Valid -> serve (Solver.Sat m, Some p)
-                    | Proof.Invalid why -> fail why)
-                | Proof.Unsat_witness tree as p -> (
-                    match v.Proof.validate_unsat ts tree with
-                    | Proof.Valid -> serve (Solver.Unsat, Some p)
-                    | Proof.Invalid why -> fail why))))
+                let rp = (r, Some p) in
+                Serve_memo.add serve_memo mkey rp;
+                Some rp))
   in
   let p_save ts (r, proof) =
     match (r, proof) with
     | Solver.Sat _, Some (Proof.Model_witness _ as p)
     | Solver.Unsat, Some (Proof.Unsat_witness _ as p) ->
-        add st (solver_key ts) (Codec.proof_to_string p)
+        save st solver (key solver ts) p
     | _ -> ()
   in
   { Solver.p_lookup; p_save }
@@ -435,85 +479,64 @@ let with_solver st f =
   Fun.protect ~finally:(fun () -> Solver.set_persist prev) f
 
 (* ------------------------------------------------------------------ *)
-(* The summary hook                                                   *)
+(* Summary entries ("M|")                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [cone_of fn] must give the cone fingerprint of [fn] in the program
-   being verified; [tag] names everything else a summary depends on
-   (zone fingerprint, analysis policy). *)
-let summary_persist st ~cone_of ~tag : Summary.persist =
-  let sp_load ~fn ~key =
-    let skey = summary_key ~cone:(cone_of fn) ~tag ~shape:key in
-    match find st skey with
-    | None -> None
-    | Some payload -> (
-        let fail why =
-          evict ~cert_failure:true st skey;
-          Trace.event "store.invalid" ~attrs:[ ("key", skey); ("why", why) ];
-          None
-        in
-        match Codec.summary_of_string payload with
-        | exception Codec.Bad why -> fail why
-        | s -> (
-            if s.Summary.fn <> fn then fail "summary names another function"
-            else
-              match Summary.validate s with
-              | Ok () -> Some s
-              | Error why -> fail why))
+(* Keyed by the cone fingerprint of the summarized function (any edit
+   in its call cone invalidates) + a digest of the workload tag (zone
+   fingerprint, analysis policy — both shape summaries) and the
+   canonical call-shape key. *)
+let summary =
+  kind ~prefix:'M' ~name:"summary"
+    ~key:(fun (cone, tag, shape) -> cone ^ "|" ^ md5 (tag ^ "\x00" ^ shape))
+    ~encode:Codec.summary_to_string ~decode:Codec.summary_of_string
+    ~check:Summary.validate
+
+(* [prog] is the program being verified; [tag] names everything else a
+   summary depends on (zone fingerprint, analysis policy). *)
+let summary_persist st prog ~tag : Summary.persist =
+  let skey fn shape = key summary (Fingerprint.cone_fp prog fn, tag, shape) in
+  let sp_load ~fn ~key:shape =
+    load st summary (skey fn shape) ~check:(fun s ->
+        if s.Summary.fn = fn then Ok ()
+        else Error "summary names another function")
   in
-  let sp_save ~fn ~key s =
-    add st (summary_key ~cone:(cone_of fn) ~tag ~shape:key)
-      (Codec.summary_to_string s)
-  in
+  let sp_save ~fn ~key:shape s = save st summary (skey fn shape) s in
   { Summary.sp_load; sp_save }
 
 (* ------------------------------------------------------------------ *)
-(* The interprocedural-analysis hook                                  *)
+(* Interprocedural-analysis entries ("A|")                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Relational function summaries ("A|" entries). Keyed by the cone
-   fingerprint of the summarized function — alpha-equivalent functions
-   share, any call-cone edit invalidates exactly its dependents — plus
-   a digest of the environment fingerprint (the filtered field
-   invariants the analysis ran under: a store added *anywhere* can drop
-   an invariant and change a summary without touching this cone). *)
-let analysis_key ~cone ~envfp : string =
-  "A|" ^ cone ^ "|" ^ md5 ("ipsum-v1\x00" ^ envfp)
+(* Relational function summaries, keyed by the cone fingerprint of the
+   summarized function — alpha-equivalent functions share, any call-cone
+   edit invalidates exactly its dependents — plus a digest of the
+   environment fingerprint (the filtered field invariants the analysis
+   ran under: a store added *anywhere* can drop an invariant and change
+   a summary without touching this cone). A loaded summary must also
+   name the requested function; the analysis additionally rejects
+   signature mismatches after load ([Analysis.rsummary_matches]). *)
+let analysis =
+  kind ~prefix:'A' ~name:"analysis"
+    ~key:(fun (cone, envfp) -> cone ^ "|" ^ md5 ("ipsum-v1\x00" ^ envfp))
+    ~encode:Codec.rsummary_to_string ~decode:Codec.rsummary_of_string
+    ~check:(fun _ -> Ok ())
 
-(* Same serve-nothing-unverifiable discipline as the other hooks: a
-   loaded summary must decode, name the requested function, and match
-   its live signature (checked by the analysis via
-   [Analysis.rsummary_matches] after load) — anything else is evicted
-   as a certificate failure and recomputed, never trusted. *)
-let analysis_persist st ~cone_of : Analysis.ip_persist =
+let analysis_persist st prog : Analysis.ip_persist =
+  let akey ~envfp fn = key analysis (Fingerprint.cone_fp prog fn, envfp) in
   let ipp_load ~envfp fn =
-    let akey = analysis_key ~cone:(cone_of fn) ~envfp in
-    match find st akey with
-    | None -> None
-    | Some payload -> (
-        let fail why =
-          evict ~cert_failure:true st akey;
-          Trace.event "store.invalid" ~attrs:[ ("key", akey); ("why", why) ];
-          None
-        in
-        match Codec.rsummary_of_string payload with
-        | exception Codec.Bad why -> fail why
-        | rs ->
-            if rs.Analysis.rs_fn <> fn then
-              fail "rsummary names another function"
-            else Some rs)
+    load st analysis (akey ~envfp fn) ~check:(fun rs ->
+        if rs.Analysis.rs_fn = fn then Ok ()
+        else Error "rsummary names another function")
   in
-  let ipp_save ~envfp fn rs =
-    add st (analysis_key ~cone:(cone_of fn) ~envfp)
-      (Codec.rsummary_to_string rs)
-  in
+  let ipp_save ~envfp fn rs = save st analysis (akey ~envfp fn) rs in
   { Analysis.ipp_load; ipp_save }
 
 (* Install the analysis hook around [f], restoring the previous hook
    (nesting-safe, same shape as [with_solver]). *)
-let with_analysis st ~cone_of f =
+let with_analysis st prog f =
   let prev = Analysis.ip_persist_installed () in
-  Analysis.set_ip_persist (Some (analysis_persist st ~cone_of));
+  Analysis.set_ip_persist (Some (analysis_persist st prog));
   Fun.protect ~finally:(fun () -> Analysis.set_ip_persist prev) f
 
 (* ------------------------------------------------------------------ *)
@@ -574,31 +597,21 @@ type fsck_report = {
 
 let fsck_clean r = r.fk_bad = [] && r.fk_header_ok
 
-(* Deep structural checks for the payload kinds this library owns;
-   [check] extends to the report kinds framed above it (return [None]
-   for "not mine"). A clean fsck means: every frame intact, every
-   payload parseable, every summary structurally valid — certificate
-   validation against the *query* happens at serve time, where the
-   query terms exist. *)
-let default_check ~key ~payload : (unit, string) result =
+(* The deep check of one entry: the structural half of [load], through
+   the declared kind's decoder and check. Undeclared prefixes are frame-
+   checked only. A clean fsck means: every frame intact, every payload of
+   a declared kind decodes and passes its structural check — validation
+   against the *request* (a certificate against its query, a summary
+   against the function asked for) happens at load time, where the
+   request exists. *)
+let deep_check ~key ~payload : (unit, string) result =
   if String.length key >= 2 && key.[1] = '|' then
-    match key.[0] with
-    | 'S' -> (
-        match Codec.proof_of_string payload with
-        | _ -> Ok ()
-        | exception Codec.Bad why -> Error why)
-    | 'M' -> (
-        match Codec.summary_of_string payload with
-        | s -> Summary.validate s
-        | exception Codec.Bad why -> Error why)
-    | 'A' -> (
-        match Codec.rsummary_of_string payload with
-        | _ -> Ok ()
-        | exception Codec.Bad why -> Error why)
-    | _ -> Ok ()
+    match Hashtbl.find_opt declared key.[0] with
+    | Some d -> d.d_check payload
+    | None -> Ok ()
   else Error "malformed key"
 
-let fsck ?check dirname : fsck_report =
+let fsck dirname : fsck_report =
   let data_path = Filename.concat dirname data_name in
   match scan_file data_path with
   | None ->
@@ -625,15 +638,7 @@ let fsck ?check dirname : fsck_report =
       List.iter
         (fun key ->
           let payload = Hashtbl.find live key in
-          let verdict =
-            match check with
-            | Some f -> (
-                match f ~key ~payload with
-                | Some r -> r
-                | None -> default_check ~key ~payload)
-            | None -> default_check ~key ~payload
-          in
-          match verdict with
+          match deep_check ~key ~payload with
           | Ok () -> incr good
           | Error why -> bad := (key, why) :: !bad)
         (List.sort compare keys);
@@ -654,13 +659,11 @@ let pp_stat ppf (s : stat_report) =
          (List.map
             (fun (p, n) ->
               let kind =
-                match p with
-                | "S" -> "solver"
-                | "M" -> "summary"
-                | "A" -> "analysis"
-                | "L" -> "layer"
-                | "R" -> "report"
-                | _ -> p
+                if String.length p <> 1 then p
+                else
+                  match Hashtbl.find_opt declared p.[0] with
+                  | Some d -> d.d_name
+                  | None -> p
               in
               Printf.sprintf "%s %d" kind n)
             s.st_by_prefix));

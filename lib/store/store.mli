@@ -8,11 +8,11 @@
    exactly like the batch journal; [gc] compacts to the live set with
    an atomic tmp+rename.
 
-   Trust discipline: the store never decides anything. Served solver
-   entries are re-validated against their certificates, served
-   summaries re-validated structurally; any failure counts
-   [store.cert_failures], evicts the entry and falls through to a
-   fresh solve. A corrupted store costs time, never truth.
+   Trust discipline: the store never decides anything. Every entry
+   kind goes through one [load]: decode, structural check, request
+   check; any failure counts [store.cert_failures], evicts the entry
+   and falls through to fresh work. A corrupted store costs time, never
+   truth.
 
    Counters (metrics registry): store.hits, store.misses,
    store.evictions, store.cert_failures, store.appends. *)
@@ -30,10 +30,8 @@ type t
 val open_ : ?read_only:bool -> string -> t
 
 val close : t -> unit
-val dir : t -> string
 val writable : t -> bool
 val dropped_bytes : t -> int
-val loaded : t -> int
 val entries : t -> int
 
 (* Raw keyed access. [find] consults the fault plan: [Store_stale]
@@ -48,42 +46,57 @@ val evict : ?cert_failure:bool -> t -> string -> unit
    a read-only store. *)
 val gc : t -> (int, string) result
 
-(* Key builders. [solver_key] digests the canonical term list;
-   [summary_key] combines a function's cone fingerprint with the
-   workload tag and canonical call shape; [derived_key] is for the
-   layer/query report entries framed by the pipeline. *)
-val solver_key : Smt.Term.t list -> string
-val summary_key : cone:string -> tag:string -> shape:string -> string
-val derived_key : prefix:string -> parts:string list -> string
+(* Entry kinds: the one persisted-entry protocol. A kind names a key
+   prefix letter and a display [name], a key builder (the key body after
+   "<prefix>|"), a payload codec whose [decode] raises [Codec.Bad], and a
+   structural [check] needing no request context. [kind] registers the
+   kind so [fsck] deep-checks its entries; a prefix may be declared once
+   per program. *)
+type ('k, 'v) kind
 
-(* Interprocedural-analysis entries ("A|"): the summarized function's
-   cone fingerprint plus a digest of the environment fingerprint (the
+val kind :
+  prefix:char ->
+  name:string ->
+  key:('k -> string) ->
+  encode:('v -> string) ->
+  decode:(string -> 'v) ->
+  check:('v -> (unit, string) result) ->
+  ('k, 'v) kind
+
+val key : ('k, 'v) kind -> 'k -> string
+
+(* [load st kind key ~check]: find, decode, structural check, then
+   [check] against the request. Any failure evicts the entry as a
+   certificate failure, emits one [store.invalid] event with the reason,
+   and answers [None] (recompute). [save] encodes and appends. *)
+val load :
+  t -> ('k, 'v) kind -> string -> check:('v -> (unit, string) result) ->
+  'v option
+
+val save : t -> ('k, 'v) kind -> string -> 'v -> unit
+
+(* Interprocedural-analysis entries ("A|"), keyed by the summarized
+   function's cone fingerprint and the environment fingerprint (the
    filtered field invariants the analysis ran under). *)
-val analysis_key : cone:string -> envfp:string -> string
+val analysis : (string * string, Analysis.rsummary) kind
 
-(* The Smt.Solver persistence hook over this store. Serves nothing
-   unless certification is on and a validator is installed; everything
-   served was validated here (and is validated again by the solver's
-   gatekeeper). [with_solver] installs it around [f], restoring the
-   previously installed hook after. *)
-val solver_persist : t -> Smt.Solver.persist
+(* Install the Smt.Solver persistence hook over this store ("S|"
+   entries) around [f], restoring the previously installed hook after.
+   It serves nothing unless a certificate validator is installed;
+   everything served was validated here (and is validated again by the
+   solver's gatekeeper). *)
 val with_solver : t -> (unit -> 'a) -> 'a
 
-(* The Symex.Summary persistence hook. [cone_of fn] must return the
-   cone fingerprint of [fn] in the program under verification; [tag]
-   names everything else a summary depends on (zone fingerprint,
-   analysis policy). *)
+(* The Symex.Summary persistence hook for the program under
+   verification; [tag] names everything else a summary depends on (zone
+   fingerprint, analysis policy). *)
 val summary_persist :
-  t -> cone_of:(string -> string) -> tag:string -> Symex.Summary.persist
+  t -> Minir.Instr.program -> tag:string -> Symex.Summary.persist
 
-(* The Analysis relational-summary persistence hook over "A|" entries:
-   decoded entries that fail to parse or name another function are
-   evicted as certificate failures and recomputed, never trusted (the
-   analysis additionally rejects signature mismatches after load).
-   [with_analysis] installs it around [f], restoring the previous
-   hook. *)
-val analysis_persist : t -> cone_of:(string -> string) -> Analysis.ip_persist
-val with_analysis : t -> cone_of:(string -> string) -> (unit -> 'a) -> 'a
+(* Install the Analysis relational-summary persistence hook over "A|"
+   entries around [f], restoring the previous hook (the analysis
+   additionally rejects signature mismatches after load). *)
+val with_analysis : t -> Minir.Instr.program -> (unit -> 'a) -> 'a
 
 (* Drop this domain's parsed-entry memos (bench/test isolation; also
    done by [open_] and [close]). *)
@@ -109,15 +122,12 @@ type fsck_report = {
   fk_repaired : bool;
 }
 
-(* Frame-level scan plus deep structural checks of every live entry.
-   A torn tail is truncated away (repair) when the file is writable;
-   torn tails alone leave the store clean — they are the expected
-   crash signature, not corruption. [check] extends deep checking to
-   entry kinds framed above this library ([None] = "not mine"). *)
-val fsck :
-  ?check:(key:string -> payload:string -> (unit, string) result option) ->
-  string ->
-  fsck_report
+(* Frame-level scan plus deep checks of every live entry of a declared
+   kind, through the kind's decoder and structural check. A torn tail is
+   truncated away (repair) when the file is writable; torn tails alone
+   leave the store clean — they are the expected crash signature, not
+   corruption. *)
+val fsck : string -> fsck_report
 
 (* Clean: header intact and no deep-corrupt entries. *)
 val fsck_clean : fsck_report -> bool

@@ -185,11 +185,7 @@ let status = function
 let dpllt_case i =
   let t = gen_term () in
   let cdcl = Solver.check_dpllt t in
-  Solver.set_presolve false;
-  Solver.set_learning false;
-  let old = Solver.check_dpllt t in
-  Solver.set_presolve true;
-  Solver.set_learning true;
+  let old = Solver.check_dpllt_reference t in
   if not (String.equal (status cdcl) (status old)) then
     fail i
       (Printf.sprintf "CDCL verdict %s differs from legacy %s" (status cdcl)

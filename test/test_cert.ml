@@ -339,6 +339,52 @@ let test_batch_killed_and_resumed =
           | _ -> Alcotest.fail "workload mismatch must be rejected"
           | exception Failure _ -> ()))
 
+(* A journal whose first inconclusive zone ran out of solver steps and
+   whose last hit the deadline: the batch stopped at the deadline, so
+   the final line written on resume, the replayed transcript's final
+   line and the outcome all name the deadline. Nothing is verified: the
+   recorded deadline already ended the batch. *)
+let test_batch_final_line_names_the_stop () =
+  with_temp (fun path ->
+      let header =
+        Printf.sprintf
+          "dnsv-batch v1 version=%s origin=%s count=3 seed=5 qtypes=A \
+           retries=0"
+          batch_cfg.Engine.Builder.version
+          (Name.to_string batch_origin)
+      in
+      let steps = Budget.Solver_steps_exhausted { limit = 100 } in
+      let deadline = Budget.Deadline_exceeded { limit_s = 1.5 } in
+      let j = Journal.create ~path ~header in
+      List.iteri
+        (fun i reason ->
+          Journal.append j
+            (Printf.sprintf
+               "item %d\nstatus inconclusive %s\nbudget 0 0 0 0\nzone %d\n" i
+               (Budget.reason_to_wire reason)
+               i))
+        [ steps; deadline ];
+      Journal.close j;
+      let expected =
+        "partial done=0 inconclusive=2 reason=" ^ Budget.reason_to_wire deadline
+      in
+      let resumed = run_batch ~journal:path ~resume:true () in
+      check_bool "nothing re-verified" true
+        (List.for_all
+           (fun (it : Pipeline.batch_item) -> it.Pipeline.bi_resumed)
+           resumed.Pipeline.br_items);
+      check_bool "journal final line" true
+        ((Journal.recover ~path).Journal.final = Some expected);
+      let replay = run_batch ~journal:path ~resume:true () in
+      let lines = String.split_on_char '\n' replay.Pipeline.br_fingerprint in
+      check_string "transcript final line" expected
+        (List.nth lines (List.length lines - 2));
+      match replay.Pipeline.br_outcome with
+      | Some (Pipeline.Partial { reason; _ }) ->
+          check_string "outcome reason" (Budget.reason_to_wire deadline)
+            (Budget.reason_to_wire reason)
+      | _ -> Alcotest.fail "replayed outcome must be partial")
+
 (* ------------------------------------------------------------------ *)
 (* Chaos harness smoke                                                *)
 (* ------------------------------------------------------------------ *)
@@ -401,6 +447,8 @@ let () =
         [
           Alcotest.test_case "killed and resumed byte-identical" `Quick
             test_batch_killed_and_resumed;
+          Alcotest.test_case "final line names the deadline stop" `Quick
+            test_batch_final_line_names_the_stop;
         ] );
       ( "chaos",
         [

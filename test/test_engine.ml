@@ -208,6 +208,24 @@ let test_loadgen_mix_differential () =
     zones;
   check_bool "most of the mix reaches the engine" true (!compared > 1000)
 
+(* The load generator's bytes, pinned: the first 2,000 datagrams of the
+   default mix over the reference zone (each as its kind, length and
+   bytes). [Zone.owner_names] must keep first-occurrence order, or the
+   seeded owner picks (and every serve_udp workload) would shift. *)
+let test_loadgen_bytes_pinned () =
+  let b = Buffer.create 65536 in
+  for i = 0 to 1999 do
+    let kind, d =
+      Dnsv.Loadgen.datagram ~zone:Fixtures.reference_zone
+        Dnsv.Loadgen.default_mix i
+    in
+    Buffer.add_char b (match kind with `Valid -> 'v' | `Malformed -> 'm');
+    Printf.bprintf b "%d:%s" (String.length d) d
+  done;
+  Alcotest.(check string)
+    "datagram digest" "0431f7f908f47395898d7c1166366b8d"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* Every build's concrete outcomes, pinned: all 8 builds (4 versions,
    buggy and fixed) answer 30 random queries on each of 16 seeded
    generated zones, and each Table-2 witness query on its zone. The MD5
@@ -341,6 +359,8 @@ let () =
             test_fixed_engines_match_spec_reference;
           Alcotest.test_case "fixed engines = spec on the loadgen mix" `Quick
             test_loadgen_mix_differential;
+          Alcotest.test_case "loadgen datagrams = recorded digest" `Quick
+            test_loadgen_bytes_pinned;
           Alcotest.test_case "every build's replies = recorded digest" `Quick
             test_golden_replies;
         ]

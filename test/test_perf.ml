@@ -167,51 +167,12 @@ let lit_gen : Term.t QCheck.Gen.t =
   in
   oneof [ cmp; map Term.not_ cmp ]
 
-type trace_op = Push | Pop | Assert of Term.t
-
-let trace_gen : trace_op list QCheck.Gen.t =
-  let open QCheck.Gen in
-  let op =
-    frequency
-      [ (2, return Push); (1, return Pop); (4, map (fun l -> Assert l) lit_gen) ]
-  in
-  list_size (int_range 1 14) op
-
-let arb_trace =
-  QCheck.make
-    ~print:(fun ops ->
-      String.concat "; "
-        (List.map
-           (function
-             | Push -> "push"
-             | Pop -> "pop"
-             | Assert l -> "assert " ^ Term.to_string l)
-           ops))
-    trace_gen
-
 let same_verdict (a : Solver.result) (b : Solver.result) =
   match (a, b) with
   | Solver.Sat _, Solver.Sat _ -> true
   | Solver.Unsat, Solver.Unsat -> true
   | Solver.Unknown, Solver.Unknown -> true
   | _ -> false
-
-let prop_incremental_matches_monolithic =
-  QCheck.Test.make
-    ~name:"incremental stack agrees with monolithic check on traces"
-    ~count:200 arb_trace
-    (fun ops ->
-      let s = Solver.Incremental.create () in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Push -> Solver.Incremental.push s
-          | Pop -> if Solver.Incremental.depth s > 0 then Solver.Incremental.pop s
-          | Assert l -> Solver.Incremental.assert_term s l);
-          same_verdict
-            (Solver.Incremental.check s)
-            (Solver.check (Solver.Incremental.terms s)))
-        ops)
 
 (* Random fork/backtrack walk over path conditions, the shape the
    symbolic executor produces: extend the current pc by consing, or
@@ -247,13 +208,12 @@ let prop_check_pc_matches_monolithic =
    difference got a certificate the checker rejects (Unknown), the
    stack kept that rejected refutation for every extension, and the
    monolithic check of a longer, certifiably refuted walk said Unsat.
-   Both properties run in order from cold result caches, as a
-   [QCHECK_SEED=N ... test incremental] run does. *)
+   The walk property runs from cold result caches under the seed. *)
 let test_seeded_walks seed () =
   Solver.clear_caches ();
-  List.iter
-    (fun prop -> QCheck.Test.check_exn ~rand:(Random.State.make [| seed |]) prop)
-    [ prop_incremental_matches_monolithic; prop_check_pc_matches_monolithic ]
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| seed |])
+    prop_check_pc_matches_monolithic
 
 (* One fork/backtrack walk with known answers, decided from cold caches
    and again from warm ones: a satisfiable pc, a refuted extension, an
@@ -515,7 +475,7 @@ let () =
           ] );
       ( "incremental",
         qcheck
-          [ prop_incremental_matches_monolithic; prop_check_pc_matches_monolithic ]
+          [ prop_check_pc_matches_monolithic ]
         @ [
             Alcotest.test_case "check_pc: cold and warm verdicts agree" `Quick
               test_check_pc_cold_and_warm;

@@ -369,9 +369,7 @@ module Fp = Store.Fingerprint
 
 let analyze_with st prog =
   Analysis.clear_memo ();
-  Store.with_analysis st
-    ~cone_of:(fun fn -> Fp.cone_fp prog fn)
-    (fun () -> Analysis.summarize prog)
+  Store.with_analysis st prog (fun () -> Analysis.summarize prog)
 
 let rsummaries_fingerprint s prog =
   String.concat "|"
@@ -418,7 +416,7 @@ let test_analysis_corrupt_entry_evicted () =
   with_dir @@ fun dir ->
   ignore (with_store dir (fun st -> analyze_with st prog_base));
   let key =
-    Store.analysis_key ~cone:(Fp.cone_fp prog_base "leaf") ~envfp:empty_envfp
+    Store.key Store.analysis (Fp.cone_fp prog_base "leaf", empty_envfp)
   in
   with_store dir @@ fun st ->
   (match Store.find st key with
@@ -563,15 +561,126 @@ let test_pipeline_store_identical_verdicts () =
     (Dnsv.Pipeline.fingerprint warm);
   let s = Store.stat dir in
   check_bool "entries persisted" true (s.Store.st_total > 0);
-  let fk =
-    Store.fsck
-      ~check:(fun ~key ~payload ->
-        match Dnsv.Pipeline.store_entry_check ~key ~payload with
-        | Some _ as r -> r
-        | None -> Refine.Layers.store_entry_check ~key ~payload)
-      dir
+  check_bool "deep fsck clean" true (Store.fsck_clean (Store.fsck dir))
+
+(* ------------------------------------------------------------------ *)
+(* The persisted-entry protocol across all five kinds                 *)
+(* ------------------------------------------------------------------ *)
+
+let protocol_cfg = Versions.fixed Versions.v1_0
+
+let protocol_verify ?store ?(retries = 0) () =
+  cold_caches ();
+  Analysis.clear_memo ();
+  Dnsv.Pipeline.verify ~qtypes:[ Rr.A ] ~retries ?store protocol_cfg
+    Spec.Fixtures.figure11_zone
+
+(* A store file's entries in file order. *)
+let scan_entries dir =
+  let data = In_channel.with_open_bin (data_path dir) In_channel.input_all in
+  let entries, _ =
+    Journal.scan_frames ~magic:"DS01" data ~init:[] (fun acc payload ->
+        if payload.[0] <> 'E' then Some acc
+        else
+          let r = Store.Codec.reader ~pos:1 payload in
+          let k = Store.Codec.rstr r in
+          let v = Store.Codec.rstr r in
+          Some ((k, v) :: acc))
   in
-  check_bool "deep fsck clean" true (Store.fsck_clean fk)
+  List.rev entries
+
+(* One store holding entries of every kind, built from cold caches by a
+   verify (retries 0) and a second one (retries 1) whose only new entry
+   is its own query-type report. [targets] are the last entry of each
+   kind the first verify wrote — its final solver query, its outermost
+   summary, its last analysis summary and layer, its report — so a
+   re-verify with retries 0 reaches every one of them; every other entry
+   (the second report included) stays intact. *)
+let protocol_fixture =
+  lazy
+    (let storeless = Dnsv.Pipeline.fingerprint (protocol_verify ()) in
+     let dir = Filename.temp_file "dnsv-store-protocol" "" in
+     Sys.remove dir;
+     at_exit (fun () -> rm_rf dir);
+     with_store dir (fun st -> ignore (protocol_verify ~store:st ()));
+     let first = scan_entries dir in
+     let last prefix =
+       List.fold_left
+         (fun acc (k, v) -> if k.[0] = prefix then Some (k, v) else acc)
+         None first
+       |> Option.get
+     in
+     with_store dir (fun st -> ignore (protocol_verify ~store:st ~retries:1 ()));
+     (dir, storeless, List.map last [ 'S'; 'M'; 'A'; 'L'; 'R' ]))
+
+let rec invalid_keys (s : Trace.span) =
+  List.filter_map
+    (fun (e : Trace.event) ->
+      if e.Trace.ev_name = "store.invalid" then
+        List.assoc_opt "key" e.Trace.ev_attrs
+      else None)
+    s.Trace.sp_events
+  @ List.concat_map invalid_keys s.Trace.sp_children
+
+(* One bit-flipped entry of each kind beside intact ones: fsck names
+   exactly the flipped keys, and a verify over the store evicts each as
+   a certificate failure with one [store.invalid] event, recomputes it
+   (so the store is clean again) and proves what the storeless run
+   proves. Bit 6 of the last byte turns a digit into a letter and ';'
+   into '{', which no kind's decoder accepts. *)
+let test_protocol_corrupt_entry_of_each_kind () =
+  let master, storeless, targets = Lazy.force protocol_fixture in
+  with_dir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  Out_channel.with_open_bin (data_path dir) (fun oc ->
+      Out_channel.output_string oc
+        (In_channel.with_open_bin (data_path master) In_channel.input_all));
+  let flip v =
+    let b = Bytes.of_string v in
+    let i = Bytes.length b - 1 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+    Bytes.to_string b
+  in
+  with_store dir (fun st ->
+      List.iter (fun (k, v) -> Store.add st k (flip v)) targets);
+  let corrupt = List.sort compare (List.map fst targets) in
+  let check_keys = Alcotest.(check (list string)) in
+  check_keys "fsck names exactly the corrupt keys" corrupt
+    (List.map fst (Store.fsck dir).Store.fk_bad);
+  let m0 = Trace.Metrics.snapshot () in
+  let v, forest =
+    with_store dir (fun st ->
+        Trace.recording (fun () -> protocol_verify ~store:st ()))
+  in
+  let d = Trace.Metrics.diff (Trace.Metrics.snapshot ()) m0 in
+  check_keys "each corrupt entry named by one store.invalid" corrupt
+    (List.sort compare (List.concat_map invalid_keys forest));
+  check_int "each counted as a certificate failure" 5
+    (Trace.Metrics.get d "store.cert_failures");
+  check_string "verdict equals the storeless one" storeless
+    (Dnsv.Pipeline.fingerprint v);
+  check_bool "recomputed entries superseded the corrupt ones" true
+    (Store.fsck_clean (Store.fsck dir))
+
+(* Key and payload bytes of one entry of each kind (the fixture's
+   targets), pinned: an existing store stays valid only while these
+   stay put. *)
+let test_protocol_entry_bytes_pinned () =
+  let _, _, targets = Lazy.force protocol_fixture in
+  Alcotest.(check (list (pair string string)))
+    "keys and payload digests"
+    [
+      ("S|83e1eff1e72d32e14ccd8dcbeeffdbae", "119a8f5699c44f1cdd891ff18b0e9ce4");
+      ( "M|41d7ed0dfd7f935c0012ff082f040389|3660f922e82ab53543722fa9f9b51e83",
+        "e90a061a1ce40802ead487f52a191b84" );
+      ( "A|671adc5857bf516b75d8a82c9f654c06|48d2afa98bb9b3341074408d32a176f2",
+        "e8cda540040c542550df4c75ec4deda2" );
+      ("L|c0c7eebfb9e20215fb45817277e37691", "874c15f94f736a44ac70f8781b6f4122");
+      ("R|31264daa3e087ac8b47d9be96df544f5", "edcd9a4dbbc3c6f314c8a4d8819b7383");
+    ]
+    (List.map (fun (k, v) -> (k, Digest.to_hex (Digest.string v))) targets);
+  check_string "layer payload" "49;49;49;"
+    (snd (List.find (fun (k, _) -> k.[0] = 'L') targets))
 
 let () =
   Alcotest.run "store"
@@ -617,5 +726,12 @@ let () =
         [
           Alcotest.test_case "warm equals cold equals storeless" `Quick
             test_pipeline_store_identical_verdicts;
+        ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "one corrupt entry of each kind" `Quick
+            test_protocol_corrupt_entry_of_each_kind;
+          Alcotest.test_case "entry bytes match the recorded ones" `Quick
+            test_protocol_entry_bytes_pinned;
         ] );
     ]
