@@ -78,20 +78,18 @@ let run ?(cfg = Versions.fixed Versions.v2_0)
   let summarized_rows =
     List.filter_map
       (fun fn ->
-        if fn = "resolve" then None
-        else
-          match Hashtbl.find_opt times fn with
-          | Some t ->
-              Some
-                {
-                  layer = fn;
-                  kind = "summarized";
-                  seconds = t;
-                  detail =
-                    Printf.sprintf "largest summary: %d input-effect pairs"
-                      (Option.value ~default:0 (Hashtbl.find_opt cases fn));
-                }
-          | None -> None)
+        match Hashtbl.find_opt times fn with
+        | Some t ->
+            Some
+              {
+                layer = fn;
+                kind = "summarized";
+                seconds = t;
+                detail =
+                  Printf.sprintf "largest summary: %d input-effect pairs"
+                    (Option.value ~default:0 (Hashtbl.find_opt cases fn));
+              }
+        | None -> None)
       Builder.summarized_layers
   in
   let top_row =

@@ -198,10 +198,8 @@ let prepare ?store ?budget ?(analysis = Analysis.Trust)
     match mode with
     | Inline_all -> []
     | With_summaries ->
-        List.filter_map
-          (fun fn ->
-            if fn = "resolve" then None
-            else Some (fn, Summary.intercept_for ~frozen_below store fn))
+        List.map
+          (fun fn -> (fn, Summary.intercept_for ~frozen_below store fn))
           Engine.Builder.summarized_layers
   in
   let exec_ctx = Exec.create ?budget ~intercepts ~analysis ~env prog in

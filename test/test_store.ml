@@ -670,13 +670,13 @@ let test_protocol_entry_bytes_pinned () =
   Alcotest.(check (list (pair string string)))
     "keys and payload digests"
     [
-      ("S|83e1eff1e72d32e14ccd8dcbeeffdbae", "119a8f5699c44f1cdd891ff18b0e9ce4");
-      ( "M|41d7ed0dfd7f935c0012ff082f040389|3660f922e82ab53543722fa9f9b51e83",
-        "e90a061a1ce40802ead487f52a191b84" );
+      ("S|7e795c98fe5f5761bf7f1e10fc61f728", "119a8f5699c44f1cdd891ff18b0e9ce4");
+      ( "M|237b47ad7e5da05316261070a19b47ba|a083e4911bf1ea3b6772a5bd1c3ffe92",
+        "bafc9deb0d7fa970cec1db2f58211843" );
       ( "A|671adc5857bf516b75d8a82c9f654c06|48d2afa98bb9b3341074408d32a176f2",
         "e8cda540040c542550df4c75ec4deda2" );
       ("L|c0c7eebfb9e20215fb45817277e37691", "874c15f94f736a44ac70f8781b6f4122");
-      ("R|31264daa3e087ac8b47d9be96df544f5", "edcd9a4dbbc3c6f314c8a4d8819b7383");
+      ("R|31264daa3e087ac8b47d9be96df544f5", "34dc6c679bbb249c470d9efa9edda8e3");
     ]
     (List.map (fun (k, v) -> (k, Digest.to_hex (Digest.string v))) targets);
   check_string "layer payload" "49;49;49;"
