@@ -27,6 +27,33 @@ type tree =
 
 type t = Model_witness of Model.t | Unsat_witness of tree
 
+let rec equal_tree a b =
+  a == b
+  ||
+  match (a, b) with
+  | Split x, Split y ->
+      Term.equal x.atom y.atom
+      && equal_tree x.if_true y.if_true
+      && equal_tree x.if_false y.if_false
+  | Split_neq x, Split_neq y ->
+      Term.equal x.neq y.neq && Term.equal x.le1 y.le1
+      && Term.equal x.ge1 y.ge1 && equal_tree x.left y.left
+      && equal_tree x.right y.right
+  | Bool_leaf, Bool_leaf -> true
+  | Farkas s, Farkas s' ->
+      List.equal
+        (fun p q -> Term.equal p.fact q.fact && p.lam = q.lam)
+        s s'
+  | (Split _ | Split_neq _ | Bool_leaf | Farkas _), _ -> false
+
+let equal_model (m : Model.t) m' = m == m' || Model.String_map.equal ( = ) m m'
+
+let equal a b =
+  match (a, b) with
+  | Model_witness m, Model_witness m' -> equal_model m m'
+  | Unsat_witness t, Unsat_witness t' -> equal_tree t t'
+  | (Model_witness _ | Unsat_witness _), _ -> false
+
 type verdict = Valid | Invalid of string
 
 type validator = {

@@ -1,8 +1,8 @@
 (* Certificate data carried alongside every solver verdict.
 
    A certificate is pure data — no closures, no solver state — so it can
-   be stored in memo tables, revalidated on every cache hit, and checked
-   by a component that shares nothing with the decision procedures:
+   be stored in memo tables, compared with [equal], and checked by a
+   component that shares nothing with the decision procedures:
 
    - satisfiable answers are certified by the model itself (the checker
      evaluates every asserted term under it);
@@ -46,6 +46,11 @@ type tree =
   | Farkas of step list (* positive combination of in-scope facts *)
 
 type t = Model_witness of Model.t | Unsat_witness of tree
+
+(* Structural equality: terms by [Term.equal], models binding by
+   binding. Equal certificates get the same verdict from any checker. *)
+val equal_model : Model.t -> Model.t -> bool
+val equal : t -> t -> bool
 
 type verdict = Valid | Invalid of string
 

@@ -9,13 +9,16 @@
    - arbitrary boolean structure goes through Tseitin CNF + DPLL, with
      theory-refuted assignments blocked by clauses until convergence.
 
-   Two performance layers sit on top (both domain-local, so parallel
+   Performance layers sit on top (all domain-local, so parallel
    pipeline workers never contend or race):
 
-   - a result cache keyed on the canonically sorted conjunction, so the
+   - a result cache keyed on the canonical conjunction (for literal
+     conjunctions, the sorted ids of its interned atoms), so the
      re-verification workload — re-running the checker after an engine
      iteration, or across near-identical engine versions — answers
      repeated obligations in O(key);
+   - a memo of each asserted literal's analysis, and of the
+     certificates the checker has accepted, so neither is redone;
    - an incremental assertion stack ([Incremental]) that mirrors the
      symbolic executor's path condition, so a branch decision extends the
      parent path's analyzed state by one literal instead of re-translating
@@ -42,7 +45,7 @@ type stats = {
   mutable cache_misses : int;   (* conjunctions solved then memoized *)
   mutable incremental_checks : int; (* served via an assertion stack *)
   mutable scratch_checks : int; (* conjunction rebuilt from scratch *)
-  mutable cert_checks : int; (* certificates validated *)
+  mutable cert_checks : int; (* checker runs; see [validate] *)
   mutable cert_failures : int; (* certificates that failed validation *)
 }
 
@@ -178,24 +181,46 @@ let persist_hook : persist option Atomic.t = Atomic.make None
 let set_persist p = Atomic.set persist_hook p
 let persist_installed () = Atomic.get persist_hook
 
-(* Both tables hash the whole key. The polymorphic [Hashtbl.hash] stops
-   after 10 meaningful words, the first atom or two of a sorted
-   conjunction, and path conditions share those prefixes: it sends most
-   keys of a run to a few buckets, and every lookup then walks a long
-   chain of structural compares. *)
-module Lia_memo = Memo.Make (struct
-  type t = Linear.key list
+(* Linear keys are interned to ids, so a conjunction's memo key is a
+   sorted int list: no structural sort, and a probe hashes ints rather
+   than variable names. Ids come from one process-wide counter and are
+   never reused, so a key evicted from [atom_ids] and interned again
+   gets a fresh id: the stale one can only make a later lookup miss. *)
+module Key_ids = Memo.Make (struct
+  type t = Linear.key
 
-  let equal = ( = )
+  let equal ((tag, const, coeffs) : t) ((tag', const', coeffs') : t) =
+    tag = tag' && const = const'
+    && List.equal (fun (x, k) (y, j) -> k = j && String.equal x y) coeffs coeffs'
 
-  let hash (keys : t) =
+  let hash ((tag, const, coeffs) : t) =
     List.fold_left
-      (fun h ((tag, const, coeffs) : Linear.key) ->
-        List.fold_left
-          (fun h (x, k) -> Hashtbl.seeded_hash (Hashtbl.seeded_hash h x) k)
-          (Hashtbl.seeded_hash (Hashtbl.seeded_hash h tag) const)
-          coeffs)
-      0 keys
+      (fun h (x, k) -> Hashtbl.seeded_hash (Hashtbl.seeded_hash h x) k)
+      (Hashtbl.seeded_hash (Hashtbl.seeded_hash 0 tag) const)
+      coeffs
+end)
+
+let atom_ids : int Key_ids.t = Key_ids.create ~name:"solver.atom_ids" ~limit:(1 lsl 16)
+let next_atom_id = Atomic.make 0
+
+let atom_id (key : Linear.key) : int =
+  match Key_ids.find_opt atom_ids key with
+  | Some id -> id
+  | None ->
+      let id = Atomic.fetch_and_add next_atom_id 1 in
+      Key_ids.add atom_ids key id;
+      id
+
+(* Both result tables hash the whole key. The polymorphic
+   [Hashtbl.hash] stops after 10 meaningful words, the first atom or two
+   of a sorted conjunction, and path conditions share those prefixes: it
+   sends most keys of a run to a few buckets, and every lookup then
+   walks a long chain of structural compares. *)
+module Lia_memo = Memo.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash (ids : t) = List.fold_left Hashtbl.seeded_hash 0 ids
 end)
 
 module Full_memo = Memo.Make (struct
@@ -207,34 +232,108 @@ module Full_memo = Memo.Make (struct
     List.fold_left (fun h t -> Hashtbl.seeded_hash h (Term.hash t)) 0 ts
 end)
 
-(* Two memo tables, both keyed on canonical forms:
+(* One theory atom of an asserted literal: the atom, its source literal
+   (the asserted term, negation folded in, that certificates cite), its
+   canonical key and the key's id. *)
+type atom_lit = { atom : Linear.atom; src : Term.t; key : Linear.key; id : int }
 
-   - [lia]: sorted+deduped [Linear.key_of_atom] lists — the literal
-     conjunctions of the fast path and the incremental stack;
+(* What the solver reads from one asserted term, computed once per term:
+   its theory atoms and boolean literals, listed as
+   [literals_of_conjunction_src] lists them, or [conj = false] when the
+   term is not a conjunction of linear literals. [hash] is [Term.hash]
+   of the term. *)
+type analysis = {
+  hash : int;
+  atoms : atom_lit list;
+  bools : (string * bool) list;
+  conj : bool;
+}
+
+module Analyses = Memo.Make (struct
+  type t = Term.t
+
+  let equal = Term.equal
+  let hash = Term.hash
+end)
+
+(* The result memo tables, keyed on canonical forms:
+
+   - [lia]: the sorted, deduplicated atom ids of a literal conjunction —
+     the fast path and the incremental stack;
    - [full]: sorted+deduped term lists for the general DPLL(T) path
      (terms are hash-consed, so polymorphic compare is cheap and, unlike
      [Linear.atom], they contain no balanced trees, so it is reliable).
 
    Unknown is never cached: it depends on the budget and fault plan in
-   scope, not on the conjunction. Cached entries are solved on the
-   canonically sorted conjunction, so a cached model is a function of
-   the key alone — sequential and parallel runs return byte-identical
-   verdicts regardless of cache population order. *)
-(* Entries carry the certificate produced when they were solved: LIA
-   proofs are index-based (positions in the canonical key), so a hit
-   re-anchors them to the hitting call's own literal terms; full-path
-   certificates are term-level already (the key is the term list). A
-   hit's certificate is re-validated before the cached answer is
-   trusted. *)
-let lia_memo : (Lia.result * Lia.proof option) Lia_memo.t =
+   scope, not on the conjunction. A conjunction is solved in
+   [Linear.key] order whatever its ids, so a cached model is a function
+   of the atom set alone — sequential and parallel runs return
+   byte-identical verdicts regardless of cache population order.
+
+   Entries carry the certificate produced when they were solved. LIA
+   proofs are index-based (positions in [Linear.key] order), and a LIA
+   entry records where each of those positions sits in its id key, so a
+   hit re-anchors the proof to the hitting call's own literal terms;
+   full-path certificates are term-level already (the key is the term
+   list). A hit's certificate passes [validate] before the cached
+   answer is trusted. *)
+type lia_entry = {
+  result : Lia.result;
+  proof : Lia.proof option;
+  perm : int array; (* [Linear.key] position -> position in the id key *)
+  mutable model : Model.t option; (* of a Sat [result], built once *)
+  mutable anchored : (atom_lit array * Proof.tree option) option;
+      (* the last anchoring of [proof], and the literals it cites *)
+}
+
+let lia_memo : lia_entry Lia_memo.t =
   Lia_memo.create ~name:"solver.lia" ~limit:(1 lsl 16)
 
 let full_memo : (result * Proof.t option) Full_memo.t =
   Full_memo.create ~name:"solver.full" ~limit:(1 lsl 16)
 
+let analyses : analysis Analyses.t =
+  Analyses.create ~name:"solver.analyses" ~limit:(1 lsl 16)
+
+(* The checker's memo: the (term list, result, certificate) triples a
+   validator accepted, each with that validator. Only [Valid] is
+   cached, and only under the validator installed now is it served, so
+   installing another validator retires every entry. [v_hash] combines
+   the terms' hashes (see [hash_terms]) with the result's kind. *)
+type checked = {
+  v_ts : Term.t list;
+  v_hash : int;
+  v_result : result;
+  v_cert : Proof.t option;
+}
+
+module Checked_memo = Memo.Make (struct
+  type t = checked
+
+  let equal_result a b =
+    match (a, b) with
+    | Sat m, Sat m' -> Proof.equal_model m m'
+    | Unsat, Unsat -> true
+    | (Sat _ | Unsat | Unknown), _ -> false
+
+  let equal a b =
+    a.v_hash = b.v_hash
+    && (a.v_ts == b.v_ts || List.equal Term.equal a.v_ts b.v_ts)
+    && equal_result a.v_result b.v_result
+    && Option.equal Proof.equal a.v_cert b.v_cert
+
+  let hash k = k.v_hash
+end)
+
+let checked : Proof.validator Checked_memo.t =
+  Checked_memo.create ~name:"solver.checked" ~limit:(1 lsl 16)
+
 let clear_caches () =
   Lia_memo.clear lia_memo;
-  Full_memo.clear full_memo
+  Full_memo.clear full_memo;
+  Key_ids.clear atom_ids;
+  Analyses.clear analyses;
+  Checked_memo.clear checked
 
 exception Not_conjunctive
 
@@ -268,6 +367,40 @@ let literals_of_conjunction_src (ts : Term.t list) =
 let literals_of_conjunction (ts : Term.t list) =
   let atoms, bools = literals_of_conjunction_src ts in
   (List.map fst atoms, bools)
+
+let analyze (t : Term.t) : analysis =
+  match Analyses.find_opt analyses t with
+  | Some a -> a
+  | None ->
+      let hash = Term.hash t in
+      let a =
+        match literals_of_conjunction_src [ t ] with
+        | atoms, bools ->
+            let atoms =
+              List.map
+                (fun (atom, src) ->
+                  let key = Linear.key_of_atom atom in
+                  { atom; src; key; id = atom_id key })
+                atoms
+            in
+            { hash; atoms; bools; conj = true }
+        | exception (Not_conjunctive | Linear.Nonlinear _) ->
+            { hash; atoms = []; bools = []; conj = false }
+      in
+      Analyses.add analyses t a;
+      a
+
+(* The hash of a term list [t :: rest] extends the hash of [rest], so
+   an assertion stack hashes each pushed literal once. *)
+let hash_nil = 0
+let hash_cons (a : analysis) h = Hashtbl.seeded_hash h a.hash
+let hash_terms (ans : analysis list) = List.fold_right hash_cons ans hash_nil
+
+(* The atoms and boolean literals of a term list, in the order
+   [literals_of_conjunction_src] gives them for the whole list: the
+   last term's first. *)
+let atoms_of ans = List.fold_left (fun acc a -> a.atoms @ acc) [] ans
+let bools_of ans = List.fold_left (fun acc a -> a.bools @ acc) [] ans
 
 let model_of_lia_model (m : Lia.model) bools =
   let base =
@@ -323,55 +456,85 @@ let tree_of_lia_proof (atoms : Linear.atom array) (provs : Term.t array)
   try Some (conv p) with Fail -> None
 
 (* Decide a conjunction of theory atoms, consulting the memo table.
-   The conjunction is always solved in canonical (sorted+deduped) order
-   — caching on or off — so the model returned for a given atom set is
-   independent of assertion order and of which code path asked. Returns
-   the answer plus, for Unsat, a certificate anchored at this call's
-   own source literals (cached proofs are index-based against the
-   canonical key, so re-anchoring works on any hit). A [Cache_corrupt]
-   fault poisons the table entry itself on a hit: the corrupted answer
-   keeps being replayed until certificate validation rejects it. *)
-let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
-    Lia.result * Proof.tree option =
-  let keyed =
-    List.map (fun ((a, _) as p) -> (Linear.key_of_atom a, p)) atoms
+   The conjunction is always solved in canonical (sorted+deduped
+   [Linear.key]) order, so the model returned for a given atom set is
+   independent of assertion order and of which code path asked. The
+   memo key is the sorted set of the atoms' ids. Returns the answer
+   (a Sat model binds the integer variables only) plus, for Unsat, a
+   certificate anchored at this call's own source literals. A hit that
+   cites the same literals as the entry's last anchoring gets that same
+   tree back, and a Sat hit its entry's model: equal certificates are
+   then physically equal, which is what makes a [validate] hit cheap.
+   A [Cache_corrupt] fault poisons the table entry itself on a hit: the
+   corrupted answer keeps being replayed until certificate validation
+   rejects it. *)
+let lia_check_cached (atoms : atom_lit list) : result * Proof.tree option =
+  let by_id = List.sort_uniq (fun a b -> Int.compare a.id b.id) atoms in
+  let ids = List.map (fun a -> a.id) by_id in
+  let answer e =
+    match e.result with
+    | Lia.Sat m ->
+        let model =
+          match e.model with
+          | Some model -> model
+          | None ->
+              let model = model_of_lia_model m [] in
+              e.model <- Some model;
+              model
+        in
+        (Sat model, None)
+    | Lia.Unknown -> (Unknown, None)
+    | Lia.Unsat -> (
+        match e.proof with
+        | None -> (Unsat, None)
+        | Some p ->
+            let by_id = Array.of_list by_id in
+            let lits = Array.map (fun j -> by_id.(j)) e.perm in
+            let tree =
+              match e.anchored with
+              | Some (lits', tree) when Array.for_all2 ( == ) lits lits' -> tree
+              | _ ->
+                  let tree =
+                    tree_of_lia_proof
+                      (Array.map (fun a -> a.atom) lits)
+                      (Array.map (fun a -> a.src) lits)
+                      p
+                  in
+                  e.anchored <- Some (lits, tree);
+                  tree
+            in
+            (Unsat, tree))
   in
-  let keyed = List.sort_uniq (fun (k1, _) (k2, _) -> compare k1 k2) keyed in
-  let canon_atoms = Array.of_list (List.map (fun (_, (a, _)) -> a) keyed) in
-  let provs = Array.of_list (List.map (fun (_, (_, src)) -> src) keyed) in
-  let anchor p = Option.bind p (tree_of_lia_proof canon_atoms provs) in
-  let solve () =
-    match Lia.check_cert (Array.to_list canon_atoms) with
-    | Lia.Csat m -> (Lia.Sat m, None)
-    | Lia.Cunsat p -> (Lia.Unsat, p)
-    | Lia.Cunknown -> (Lia.Unknown, None)
-  in
-  let key = List.map fst keyed in
-  match Lia_memo.find_opt lia_memo key with
-  | Some (r, p) ->
+  match Lia_memo.find_opt lia_memo ids with
+  | Some e ->
       M.incr c_cache_hits;
-      let r, p =
+      let e =
         if Faultinject.fire Faultinject.Cache_corrupt then begin
           let poisoned =
-            match r with
-            | Lia.Sat _ -> (Lia.Unsat, p)
+            match e.result with
+            | Lia.Sat _ -> { e with result = Lia.Unsat }
             | Lia.Unsat | Lia.Unknown ->
-                (Lia.Sat Lia.String_map.empty, None)
+                { e with result = Lia.Sat Lia.String_map.empty; proof = None }
           in
-          Lia_memo.replace lia_memo key poisoned;
+          Lia_memo.replace lia_memo ids poisoned;
           poisoned
         end
-        else (r, p)
+        else e
       in
-      (r, anchor p)
+      answer e
   | None -> (
       M.incr c_cache_misses;
+      let lits =
+        Array.of_list (List.sort_uniq (fun a b -> compare a.key b.key) atoms)
+      in
+      let canon_atoms = Array.map (fun a -> a.atom) lits in
+      let provs = Array.map (fun a -> a.src) lits in
       (* In-memory miss: consult the persistent store, keyed by the
          canonical source-literal terms (the key IS the query, so a
-         stored certificate is term-level and already anchored —
-         served hits bypass [anchor]). The in-memory table holds
-         index-based LIA proofs, so store hits are not inserted here;
-         the store's own domain-local memo makes repeats cheap. *)
+         stored certificate is term-level and already anchored). The
+         in-memory table holds index-based LIA proofs, so store hits
+         are not inserted here; the store's own domain-local memo makes
+         repeats cheap. *)
       let term_key = Array.to_list provs in
       let stored =
         match persist_installed () with
@@ -387,32 +550,46 @@ let lia_check_cached (atoms : (Linear.atom * Term.t) list) :
                       | Term.VBool _ -> acc)
                     Lia.String_map.empty (Model.bindings m)
                 in
-                Some (Lia.Sat lm, None)
+                Some (Sat (model_of_lia_model lm []), None)
             | Some (Unsat, Some (Proof.Unsat_witness tree)) ->
-                Some (Lia.Unsat, Some tree)
+                Some (Unsat, Some tree)
             | Some _ | None -> None)
       in
       match stored with
       | Some rt -> rt
       | None ->
-          let r, p = solve () in
-          (match r with
+          let result, proof =
+            match Lia.check_cert (Array.to_list canon_atoms) with
+            | Lia.Csat m -> (Lia.Sat m, None)
+            | Lia.Cunsat p -> (Lia.Unsat, p)
+            | Lia.Cunknown -> (Lia.Unknown, None)
+          in
+          let position = List.mapi (fun j id -> (id, j)) ids in
+          let tree = Option.bind proof (tree_of_lia_proof canon_atoms provs) in
+          let e =
+            {
+              result;
+              proof;
+              perm = Array.map (fun a -> List.assoc a.id position) lits;
+              model = None;
+              anchored = Some (lits, tree);
+            }
+          in
+          let r, tree =
+            match result with Lia.Unsat -> (Unsat, tree) | _ -> answer e
+          in
+          (match result with
           | Lia.Unknown -> ()
-          | _ -> Lia_memo.add lia_memo key (r, p));
-          let anchored = anchor p in
+          | _ -> Lia_memo.add lia_memo ids e);
           (match persist_installed () with
           | None -> ()
           | Some ps -> (
-              match (r, anchored) with
-              | Lia.Sat m, _ ->
-                  let model = model_of_lia_model m [] in
-                  ps.p_save term_key
-                    (Sat model, Some (Proof.Model_witness model))
-              | Lia.Unsat, Some t ->
-                  ps.p_save term_key (Unsat, Some (Proof.Unsat_witness t))
-              | Lia.Unsat, None | Lia.Unknown, _ -> ()))
-          ;
-          (r, anchored))
+              match (r, tree) with
+              | Sat model, _ ->
+                  ps.p_save term_key (Sat model, Some (Proof.Model_witness model))
+              | Unsat, Some t -> ps.p_save term_key (Unsat, Some (Proof.Unsat_witness t))
+              | Unsat, None | Unknown, _ -> ()));
+          (r, tree))
 
 (* Contradictory boolean literals? *)
 let contradictory_bools bools =
@@ -436,26 +613,29 @@ let bool_contradiction_cert bools =
          if_false = Proof.Bool_leaf;
        })
 
-let check_fast_cert (ts : Term.t list) : (result * Proof.t option) option =
-  match literals_of_conjunction_src ts with
-  | exception Not_conjunctive -> None
-  | exception Linear.Nonlinear _ -> None
-  | atoms, bools ->
-      M.incr c_fast_path;
-      if contradictory_bools bools then
-        Some (Unsat, Some (bool_contradiction_cert bools))
-      else
-        Some
-          (match lia_check_cached atoms with
-          | Lia.Sat m, _ ->
-              let model = model_of_lia_model m bools in
-              (Sat model, Some (Proof.Model_witness model))
-          | Lia.Unsat, tree ->
-              (Unsat, Option.map (fun t -> Proof.Unsat_witness t) tree)
-          | Lia.Unknown, _ -> (Unknown, None))
+(* Decide a conjunction of literals: the boolean ones, then the theory
+   atoms. *)
+let decide_literals (atoms : atom_lit list) bools : result * Proof.t option =
+  if contradictory_bools bools then
+    (Unsat, Some (bool_contradiction_cert bools))
+  else
+    match lia_check_cached atoms with
+    | Sat m, _ ->
+        let model =
+          List.fold_left
+            (fun acc (name, positive) -> Model.add_bool name positive acc)
+            m bools
+        in
+        (Sat model, Some (Proof.Model_witness model))
+    | Unsat, tree -> (Unsat, Option.map (fun t -> Proof.Unsat_witness t) tree)
+    | Unknown, _ -> (Unknown, None)
 
-let check_fast (ts : Term.t list) : result option =
-  Option.map fst (check_fast_cert ts)
+let fast_cert (ans : analysis list) : (result * Proof.t option) option =
+  if not (List.for_all (fun a -> a.conj) ans) then None
+  else begin
+    M.incr c_fast_path;
+    Some (decide_literals (atoms_of ans) (bools_of ans))
+  end
 
 let c_presolve_pruned = M.counter "presolve.pruned"
 
@@ -844,41 +1024,88 @@ let record_result (r : result) : result =
    or a validator rejection — degrades to Unknown and is counted, so a
    corrupted memo entry or a buggy proof emitter can lose a verdict but
    never flip one. With no validator installed this is the identity on
-   the result. *)
-let validate (ts : Term.t list) ((r, cert) : result * Proof.t option) : result =
+   the result.
+
+   The checker is a pure function of (terms, result, certificate), so
+   a triple the installed validator has accepted is not checked again
+   ([checked]); [hash] is [hash_terms] of the analyses of [ts]. A
+   poisoned memo entry carries another result or certificate, so it is
+   checked afresh. *)
+let gate ~hash (ts : Term.t list) ((r, cert) : result * Proof.t option) :
+    result =
   match Proof.validator () with
   | None -> r
   | Some v -> (
       match r with
       | Unknown -> r
       | Sat _ | Unsat -> (
-          M.incr c_cert_checks;
-          let verdict =
-            timed h_cert_seconds @@ fun () ->
-            match (r, cert) with
-            | Sat m, _ -> v.Proof.validate_sat ts m
-            | Unsat, Some (Proof.Unsat_witness tree) ->
-                v.Proof.validate_unsat ts tree
-            | Unsat, Some (Proof.Model_witness _) ->
-                Proof.Invalid "unsat answer carries a model certificate"
-            | Unsat, None -> Proof.Invalid "missing certificate"
-            | Unknown, _ -> assert false
+          let key =
+            {
+              v_ts = ts;
+              v_hash = (hash * 3) + (match r with Sat _ -> 1 | _ -> 2);
+              v_result = r;
+              v_cert = cert;
+            }
           in
-          match verdict with
-          | Proof.Valid -> r
-          | Proof.Invalid why ->
-              M.incr c_cert_failures;
-              Trace.event "cert.invalid" ~attrs:[ ("reason", why) ];
-              Unknown))
+          match Checked_memo.find_opt checked key with
+          | Some v' when v' == v -> r
+          | seen -> (
+              M.incr c_cert_checks;
+              let verdict =
+                timed h_cert_seconds @@ fun () ->
+                match (r, cert) with
+                | Sat m, _ -> v.Proof.validate_sat ts m
+                | Unsat, Some (Proof.Unsat_witness tree) ->
+                    v.Proof.validate_unsat ts tree
+                | Unsat, Some (Proof.Model_witness _) ->
+                    Proof.Invalid "unsat answer carries a model certificate"
+                | Unsat, None -> Proof.Invalid "missing certificate"
+                | Unknown, _ -> assert false
+              in
+              match verdict with
+              | Proof.Valid ->
+                  (match seen with
+                  | None -> Checked_memo.add checked key v
+                  | Some _ -> Checked_memo.replace checked key v);
+                  r
+              | Proof.Invalid why ->
+                  M.incr c_cert_failures;
+                  Trace.event "cert.invalid" ~attrs:[ ("reason", why) ];
+                  Unknown)))
 
-let check_core_cert (ts : Term.t list) : result * Proof.t option =
-  match Term.and_ ts with
-  | Term.True -> (Sat Model.empty, Some (Proof.Model_witness Model.empty))
-  | Term.False -> (Unsat, Some (Proof.Unsat_witness Proof.Bool_leaf))
-  | _ -> (
-      match check_fast_cert ts with
+let validate (ts : Term.t list) (rc : result * Proof.t option) : result =
+  gate ~hash:(hash_terms (List.map analyze ts)) ts rc
+
+(* What [Term.and_ ts] folds to, without building it. *)
+let fold_conjunction (ts : Term.t list) : [ `True | `False | `Other ] =
+  List.iter (Term.check_bool "and") ts;
+  let n = ref 0 and all_true = ref true and some_false = ref false in
+  let see (t : Term.t) =
+    incr n;
+    match t with
+    | Term.True -> ()
+    | Term.False -> some_false := true
+    | _ -> all_true := false
+  in
+  List.iter
+    (function Term.And xs -> List.iter see xs | Term.True -> () | t -> see t)
+    ts;
+  if !some_false then `False
+  else if !n = 0 || (!n = 1 && !all_true) then `True
+  else `Other
+
+(* [ans] are the analyses of [ts]. *)
+let core_cert (ts : Term.t list) (ans : analysis list) :
+    result * Proof.t option =
+  match fold_conjunction ts with
+  | `True -> (Sat Model.empty, Some (Proof.Model_witness Model.empty))
+  | `False -> (Unsat, Some (Proof.Unsat_witness Proof.Bool_leaf))
+  | `Other -> (
+      match fast_cert ans with
       | Some rc -> rc
       | None -> check_dpllt_cert ts)
+
+let check_core_cert (ts : Term.t list) = core_cert ts (List.map analyze ts)
 
 (* Decide satisfiability of the conjunction of [ts]. Charges the budget
    in scope and records Unknown answers — including injected ones — so
@@ -888,7 +1115,9 @@ let check (ts : Term.t list) : result =
     if begin_check () then Unknown
     else begin
       M.incr c_scratch_checks;
-      timed h_check_seconds (fun () -> validate ts (check_core_cert ts))
+      timed h_check_seconds (fun () ->
+          let ans = List.map analyze ts in
+          gate ~hash:(hash_terms ans) ts (core_cert ts ans))
     end
   in
   record_result r
@@ -910,22 +1139,23 @@ let entails ~hyps goal =
 (* ------------------------------------------------------------------ *)
 
 module Incremental = struct
-  (* A stack of frames mirroring a path condition. Each frame holds the
-     analysis (theory atoms + boolean literals) of the terms asserted at
-     that level, so extending the path by one branch decision analyzes
-     one new literal instead of re-translating the whole conjunction.
-     Frames also remember refuted prefixes: once a level is Unsat, every
-     extension is answered Unsat without touching the theory solver.
+  (* A stack of frames mirroring a path condition, one frame per
+     literal. Each frame holds the analysis of its literal (theory atoms
+     with their ids, boolean literals), so extending the path by one
+     branch decision analyzes at most one new literal, and the hash of
+     the term list it heads. Frames also remember refuted prefixes:
+     once a level is Unsat, every extension is answered Unsat without
+     touching the theory solver.
 
      [node] is the path-condition cons cell this frame mirrors (see
-     [check_pc]). *)
+     [check_pc]): [node = term :: next.node] for the frame below. *)
   type frame = {
     node : Term.t list;
-    mutable terms : Term.t list;
-    mutable atoms : (Linear.atom * Term.t) list; (* atom + source literal *)
-    mutable bools : (string * bool) list;
-    mutable nonconj : bool; (* some term is not a literal conjunction *)
-    mutable unsat : bool;   (* the stack up to this frame is refuted *)
+    depth : int; (* [List.length node] *)
+    an : analysis; (* of [List.hd node] *)
+    hash : int; (* [hash_terms] of [node] *)
+    nonconj : bool; (* some literal at or below is not a literal conjunction *)
+    mutable unsat : bool; (* the stack up to this frame is refuted *)
     mutable unsat_cert : Proof.t option; (* certificate for the refutation *)
   }
 
@@ -933,27 +1163,16 @@ module Incremental = struct
 
   let create () = { frames = [] }
 
-  let fresh_frame node =
-    {
-      node;
-      terms = [];
-      atoms = [];
-      bools = [];
-      nonconj = false;
-      unsat = false;
-      unsat_cert = None;
-    }
-
-  let analyze (f : frame) (term : Term.t) =
-    f.terms <- term :: f.terms;
-    match literals_of_conjunction_src [ term ] with
-    | atoms, bools ->
-        f.atoms <- atoms @ f.atoms;
-        f.bools <- bools @ f.bools
-    | exception Not_conjunctive -> f.nonconj <- true
-    | exception Linear.Nonlinear _ -> f.nonconj <- true
-
-  let terms (s : t) = List.concat_map (fun f -> f.terms) s.frames
+  let push (s : t) (node : Term.t list) (term : Term.t) =
+    let an = analyze term in
+    let depth, hash, nonconj =
+      match s.frames with
+      | [] -> (1, hash_cons an hash_nil, not an.conj)
+      | f :: _ -> (f.depth + 1, hash_cons an f.hash, f.nonconj || not an.conj)
+    in
+    s.frames <-
+      { node; depth; an; hash; nonconj; unsat = false; unsat_cert = None }
+      :: s.frames
 
   (* Answer Unsat for the whole stack, remembering the refutation on the
      newest frame only once its certificate has validated. A certificate
@@ -961,8 +1180,8 @@ module Incremental = struct
      also short-circuit every extension: a longer stack may hold a
      refutation that does check out, which a monolithic [check] of the
      same conjunction would find. *)
-  let refute (s : t) cert : result =
-    match validate (terms s) (Unsat, cert) with
+  let refute (s : t) validate cert : result =
+    match validate (Unsat, cert) with
     | Unsat ->
         (match s.frames with
         | [] -> ()
@@ -977,6 +1196,10 @@ module Incremental = struct
       if begin_check () then Unknown
       else
         timed h_check_seconds @@ fun () ->
+        let ts, hash =
+          match s.frames with [] -> ([], hash_nil) | f :: _ -> (f.node, f.hash)
+        in
+        let validate = gate ~hash ts in
         match List.find_opt (fun f -> f.unsat) s.frames with
         | Some f ->
             (* A refuted prefix stays refuted under any extension — but
@@ -984,30 +1207,25 @@ module Incremental = struct
                current stack, so a poisoned short-circuit cannot outlive
                one validation. *)
             M.incr c_incremental_checks;
-            validate (terms s) (Unsat, f.unsat_cert)
-        | None ->
-            if List.exists (fun f -> f.nonconj) s.frames then begin
-              (* General boolean structure somewhere on the stack: fall
-                 back to the monolithic (but still memoized) pipeline. *)
-              M.incr c_scratch_checks;
-              validate (terms s) (check_core_cert (terms s))
-            end
-            else begin
-              M.incr c_incremental_checks;
-              M.incr c_fast_path;
-              let atoms = List.concat_map (fun f -> f.atoms) s.frames in
-              let bools = List.concat_map (fun f -> f.bools) s.frames in
-              if contradictory_bools bools then
-                refute s (Some (bool_contradiction_cert bools))
-              else
-                match lia_check_cached atoms with
-                | Lia.Sat m, _ ->
-                    let model = model_of_lia_model m bools in
-                    validate (terms s) (Sat model, Some (Proof.Model_witness model))
-                | Lia.Unsat, tree ->
-                    refute s (Option.map (fun t -> Proof.Unsat_witness t) tree)
-                | Lia.Unknown, _ -> Unknown
-            end
+            validate (Unsat, f.unsat_cert)
+        | None -> (
+            match s.frames with
+            | f :: _ when f.nonconj ->
+                (* General boolean structure somewhere on the stack: fall
+                   back to the monolithic (but still memoized) pipeline. *)
+                M.incr c_scratch_checks;
+                validate (core_cert ts (List.map (fun f -> f.an) s.frames))
+            | _ -> (
+                M.incr c_incremental_checks;
+                M.incr c_fast_path;
+                (* Newest frame's literals first. The order decides
+                   which of two literals with one atom a fresh
+                   certificate cites, and so a stored answer's key. *)
+                let atoms = List.concat_map (fun f -> f.an.atoms) s.frames in
+                let bools = List.concat_map (fun f -> f.an.bools) s.frames in
+                match decide_literals atoms bools with
+                | Unsat, cert -> refute s validate cert
+                | rc -> validate rc))
     in
     record_result r
 
@@ -1017,21 +1235,25 @@ module Incremental = struct
      executor extends path conditions by consing, so sibling branches
      and parent paths share tails physically, and every shared literal's
      analysis is reused. One frame per literal, so backtracking to any
-     shared prefix keeps the whole prefix warm. *)
+     shared prefix keeps the whole prefix warm. A literal that reaches
+     the stack in a fresh cons cell (a copied prefix) is analyzed once
+     all the same: [analyze] is memoized on the term. *)
   let check_pc (s : t) (pc : Term.t list) : result =
-    M.observe h_pc_depth (float_of_int (List.length pc));
-    (* The non-empty tails of [pc], physically: every frame mirrors one
-       cons cell. *)
-    let tails =
-      let rec go acc l = match l with [] -> acc | _ :: tl -> go (l :: acc) tl in
-      go [] pc
-    in
-    let rec prune frames =
+    let depth = List.length pc in
+    M.observe h_pc_depth (float_of_int depth);
+    (* Keep the newest frame that mirrors a tail of [pc], and every
+       frame below it. [l] is the tail of [pc] of length [d]; frames
+       are newest (deepest) first. *)
+    let rec sync frames l d =
       match frames with
-      | f :: rest when not (List.memq f.node tails) -> prune rest
-      | _ -> frames
+      | [] -> []
+      | f :: rest ->
+          if f.depth > d then sync rest l d
+          else if f.depth < d then sync frames (List.tl l) (d - 1)
+          else if f.node == l then frames
+          else sync rest (List.tl l) (d - 1)
     in
-    s.frames <- prune s.frames;
+    s.frames <- sync s.frames pc depth;
     let synced = match s.frames with [] -> [] | f :: _ -> f.node in
     let rec extend l =
       if l == synced then ()
@@ -1040,11 +1262,9 @@ module Incremental = struct
         | [] -> ()
         | term :: tl ->
             extend tl;
-            let f = fresh_frame l in
-            analyze f term;
-            s.frames <- f :: s.frames
+            push s l term
     in
-    if pc != synced then extend pc;
+    extend pc;
     solve s
 
   let entails (s : t) ~hyps goal =

@@ -23,7 +23,7 @@ type stats = {
   mutable cache_misses : int;
   mutable incremental_checks : int;
   mutable scratch_checks : int;
-  mutable cert_checks : int; (* certificates validated *)
+  mutable cert_checks : int; (* checker runs; see [validate] *)
   mutable cert_failures : int; (* certificates that failed validation *)
 }
 
@@ -34,8 +34,9 @@ type stats = {
 val stats : unit -> stats
 val reset_stats : unit -> unit
 
-(* Drop this domain's result caches (domain-local; Unknown answers are
-   never cached). *)
+(* Drop this domain's solver memos: the result caches (Unknown answers
+   are never cached), the atom ids and literal analyses they are keyed
+   by, and the accepted certificates. *)
 val clear_caches : unit -> unit
 
 (* Certificates: when a validator is installed ([Proof.set_validator],
@@ -44,7 +45,19 @@ val clear_caches : unit -> unit
    refuted-prefix short-circuit — is validated against its certificate
    first; an unjustifiable answer is degraded to Unknown and counted in
    [stats.cert_failures]. A corrupted memo entry can therefore degrade a
-   verdict but never flip one. *)
+   verdict but never flip one.
+
+   Validation is a pure function of (terms, result, certificate), so
+   the checker runs once per triple: a triple the installed validator
+   accepted is served again without a check ([stats.cert_checks] counts
+   checker runs). Only acceptances are remembered, the key compares
+   terms, models and proof trees structurally, a validator installed
+   later re-checks everything, and [clear_caches] forgets them all. *)
+
+(* The gatekeeper every answer passes: the result, or Unknown when the
+   certificate does not check out. Exposed for the certificate
+   test-suite. *)
+val validate : Term.t list -> result * Proof.t option -> result
 
 (* Persistent-store hook (installed by [Store.with_solver] in lib/store,
    which sits above this library). Consulted only on in-memory cache
@@ -70,6 +83,12 @@ val persist_installed : unit -> persist option
 val current_budget : unit -> Budget.t option ref
 val with_budget : Budget.t -> (unit -> 'a) -> 'a
 
+(* The id of a canonical atom key, interned in a bounded domain-local
+   table; the result memo keys literal conjunctions by sorted atom ids.
+   Ids are never reused: a key evicted and interned again gets a fresh
+   one, so a stale id can only make a lookup miss. *)
+val atom_id : Linear.key -> int
+
 exception Not_conjunctive
 
 val literals_of_conjunction :
@@ -85,8 +104,6 @@ val model_of_lia_model :
   Lia.model ->
   (Model.String_map.key * bool) list ->
   Term.value Model.String_map.t
-
-val check_fast : Term.t list -> result option
 
 (* Backstop iteration cap for the DPLL(T) refutation loop when no
    budget is in scope (a bare cap hit answers Unknown). With a budget,

@@ -167,28 +167,23 @@ let canon_sval (st : canon_state) (v : Sval.sval) : Sval.sval =
    heap) blocks — the concrete domain tree is closed under pointers. *)
 let reachable_blocks ~(frozen_below : int) (mem : Sval.memory)
     (args : Sval.sval list) : int list =
-  let seen = Hashtbl.create 16 in
-  let frontier = ref [] in
-  let push b = if not (Hashtbl.mem seen b) then frontier := b :: !frontier in
-  List.iter (function Sval.SPtr p -> push p.Value.block | _ -> ()) args;
-  let rec pointees = function
-    | Sval.CPtr p -> push p.Value.block
-    | Sval.CStruct cells | Sval.CArray cells -> Array.iter pointees cells
-    | Sval.CInt _ | Sval.CBool _ | Sval.CNull -> ()
+  (* The seen-set is the answer itself: a handful of blocks, compared
+     with [==], which is equality on ints. *)
+  let rec visit seen b =
+    if List.memq b seen then seen
+    else
+      let seen = b :: seen in
+      if b >= frozen_below then pointees seen (Sval.block_value mem b)
+      else seen
+  and pointees seen = function
+    | Sval.CPtr p -> visit seen p.Value.block
+    | Sval.CStruct cells | Sval.CArray cells -> Array.fold_left pointees seen cells
+    | Sval.CInt _ | Sval.CBool _ | Sval.CNull -> seen
   in
-  let out = ref [] in
-  while !frontier <> [] do
-    match !frontier with
-    | [] -> ()
-    | b :: rest ->
-        frontier := rest;
-        if not (Hashtbl.mem seen b) then begin
-          Hashtbl.replace seen b ();
-          out := b :: !out;
-          if b >= frozen_below then pointees (Sval.block_value mem b)
-        end
-  done;
-  List.sort compare !out
+  List.fold_left
+    (fun seen -> function Sval.SPtr p -> visit seen p.Value.block | _ -> seen)
+    [] args
+  |> List.sort Int.compare
 
 (* The walk of a call shape that writes its key: [fn], the arguments
    ([arg] writes each and returns its canonical form), then every

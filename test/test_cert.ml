@@ -209,6 +209,83 @@ let test_corruption_surfaces_cert_invalid =
       check_bool "cert failures counted" true (Pipeline.cert_failures v2 > 0))
 
 (* ------------------------------------------------------------------ *)
+(* The validation memo cannot launder a bad answer                    *)
+(* ------------------------------------------------------------------ *)
+
+let sat_ts = [ Term.le x (Term.int 3); Term.le (Term.int 1) x ]
+let unsat_ts = [ Term.le x (Term.int 3); Term.le (Term.int 5) x ]
+let cert_stat f = f (Solver.stats ())
+let checks () = cert_stat (fun s -> s.Solver.cert_checks)
+let failures () = cert_stat (fun s -> s.Solver.cert_failures)
+
+(* An honest answer puts its triple in the memo (the repeat runs no
+   checker); a poisoned result-cache entry for the same terms carries
+   another result, is checked, and degrades without flipping. *)
+let test_memo_then_corruption_caught =
+  fi (fun () ->
+      List.iter
+        (fun ts ->
+          let honest = Solver.check ts in
+          let c0 = checks () in
+          check_string "repeat agrees" (kind honest) (kind (Solver.check ts));
+          check_int "repeat served by the validation memo" c0 (checks ());
+          let f0 = failures () in
+          Faultinject.arm ~persistent:true ~after:1 Faultinject.Cache_corrupt;
+          let corrupted = Solver.check ts in
+          Faultinject.reset ();
+          check_string "poisoned entry degrades to unknown" "unknown"
+            (kind corrupted);
+          check_bool "and counts a cert failure" true (failures () > f0);
+          let s = Solver.Incremental.create () in
+          check_bool "the poisoned entry never flips, via check_pc either" true
+            (kind (Solver.Incremental.check_pc s ts) <> flip (kind honest)))
+        [ sat_ts; unsat_ts ])
+
+(* A bogus certificate for terms whose honest certificate was accepted
+   is not the accepted triple: it is checked, and rejected. *)
+let test_memo_bogus_cert_rejected =
+  fi (fun () ->
+      check_string "honest unsat" "unsat" (kind (Solver.check unsat_ts));
+      let bogus_tree =
+        Proof.Farkas
+          [ { Proof.fact = Term.le x (Term.int (-1)); lam = Proof.coeff_of_ints 1 1 } ]
+      in
+      let f0 = failures () in
+      check_string "bogus refutation rejected" "unknown"
+        (kind
+           (Solver.validate unsat_ts
+              (Solver.Unsat, Some (Proof.Unsat_witness bogus_tree))));
+      check_string "unsat answer with a model rejected" "unknown"
+        (kind
+           (Solver.validate unsat_ts
+              (Solver.Unsat, Some (Proof.Model_witness Smt.Model.empty))));
+      check_string "honest sat" "sat" (kind (Solver.check sat_ts));
+      let bad = Smt.Model.add_int "x" 7 Smt.Model.empty in
+      check_string "violating model rejected" "unknown"
+        (kind
+           (Solver.validate sat_ts (Solver.Sat bad, Some (Proof.Model_witness bad))));
+      check_int "three cert failures" 3 (failures () - f0))
+
+(* What an earlier validator accepted is not served under a new one. *)
+let test_memo_keyed_on_validator =
+  fi (fun () ->
+      let honest = List.map Solver.check [ sat_ts; unsat_ts ] in
+      let reject _ _ = Proof.Invalid "rejects everything" in
+      Fun.protect ~finally:Cert.install (fun () ->
+          Proof.set_validator { Proof.validate_sat = reject; validate_unsat = reject };
+          List.iter
+            (fun ts ->
+              check_string "check under a reject-all validator" "unknown"
+                (kind (Solver.check ts));
+              let s = Solver.Incremental.create () in
+              check_string "check_pc under a reject-all validator" "unknown"
+                (kind (Solver.Incremental.check_pc s ts)))
+            [ sat_ts; unsat_ts ]);
+      check_bool "the checker back: honest answers again" true
+        (List.map kind honest
+        = List.map (fun ts -> kind (Solver.check ts)) [ sat_ts; unsat_ts ]))
+
+(* ------------------------------------------------------------------ *)
 (* Journal framing and recovery                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -425,6 +502,12 @@ let () =
         [
           Alcotest.test_case "corruption surfaces cert-invalid" `Quick
             test_corruption_surfaces_cert_invalid;
+          Alcotest.test_case "validation memo: corruption still caught" `Quick
+            test_memo_then_corruption_caught;
+          Alcotest.test_case "validation memo: bogus certificate rejected"
+            `Quick test_memo_bogus_cert_rejected;
+          Alcotest.test_case "validation memo: keyed on the validator" `Quick
+            test_memo_keyed_on_validator;
         ]
         @ qcheck
             [

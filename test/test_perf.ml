@@ -290,7 +290,13 @@ let cleared_memos =
   [
     ( "Solver.clear_caches",
       Solver.clear_caches,
-      [ "solver.lia"; "solver.full" ] );
+      [
+        "solver.lia";
+        "solver.full";
+        "solver.atom_ids";
+        "solver.analyses";
+        "solver.checked";
+      ] );
     ("Store.clear_domain_memos", Store.clear_domain_memos, [ "store.serve" ]);
     ( "Pipeline.clear_summary_memo",
       Dnsv.Pipeline.clear_summary_memo,
@@ -409,6 +415,150 @@ let test_cache_key_spread () =
     [ "solver.lia"; "solver.full" ]
 
 (* ------------------------------------------------------------------ *)
+(* Id-keyed LIA memo                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let check_int = Alcotest.(check int)
+
+let answer_string = function
+  | Solver.Sat m -> Model.to_string m
+  | Solver.Unsat -> "unsat"
+  | Solver.Unknown -> "unknown"
+
+(* One atom set written five ways: permuted, with a literal repeated,
+   and with an atom reached through other terms (x < 4 and ¬(3 < x)
+   are both x - 3 ≤ 0). *)
+let atom_set_variants =
+  let a = Term.le x (Term.int 3)
+  and b = Term.le (Term.int 1) y
+  and c = Term.lt y x in
+  [
+    [ a; b; c ];
+    [ c; b; a ];
+    [ b; a; c; a ];
+    [ Term.lt x (Term.int 4); b; c; b ];
+    [ c; Term.not_ (Term.lt (Term.int 3) x); b ];
+  ]
+
+(* The memo key is the atom set: every variant lands on one
+   [solver.lia] entry and gets the model solved in [Linear.key] order,
+   byte for byte, from cold tables and from warm ones, through [check]
+   and through [check_pc]. *)
+let test_lia_memo_keyed_by_atom_set () =
+  let lia_entries () = (memo_stat "solver.lia").Memo.entries in
+  let cold =
+    List.map
+      (fun ts ->
+        Solver.clear_caches ();
+        let r = answer_string (Solver.check ts) in
+        check_int "one entry from cold" 1 (lia_entries ());
+        r)
+      atom_set_variants
+  in
+  Solver.clear_caches ();
+  let s = Solver.Incremental.create () in
+  let warm =
+    List.concat_map
+      (fun ts ->
+        [
+          answer_string (Solver.check ts);
+          answer_string (Solver.Incremental.check_pc s ts);
+        ])
+      atom_set_variants
+  in
+  check_int "every variant hit the one entry" 1 (lia_entries ());
+  List.iter
+    (fun m -> check_string "byte-identical model" (List.hd cold) m)
+    (cold @ warm)
+
+(* Ids are never reused. Fill the id table past its limit (2^16) with
+   the atoms of refuted three-atom conjunctions, so the first
+   conjunction's atoms and analyses are evicted while its LIA entry is
+   still held. Every id handed out is distinct, the first atoms get
+   fresh ids when interned again, and re-checking the first conjunction
+   misses its old entry rather than hitting a refuted one. *)
+let test_atom_ids_never_reused () =
+  Solver.clear_caches ();
+  let first = List.hd atom_set_variants in
+  let cold = answer_string (Solver.check first) in
+  let seen = Hashtbl.create (1 lsl 17) in
+  let keys ts =
+    List.filter_map
+      (fun t -> Option.map Linear.key_of_atom (Linear.atom_of_term t))
+      ts
+  in
+  let record key =
+    let id = Solver.atom_id key in
+    if Hashtbl.mem seen id then Alcotest.failf "atom id %d handed out twice" id;
+    Hashtbl.add seen id ()
+  in
+  List.iter record (keys first);
+  let limit = 1 lsl 16 in
+  for i = 0 to (limit + (limit / 4)) / 3 do
+    let v = Term.int_var (Printf.sprintf "a%d" i) in
+    let w = Term.int_var (Printf.sprintf "b%d" i) in
+    let ts =
+      [ Term.le v (Term.int 0); Term.le (Term.int 1) v; Term.le w (Term.int i) ]
+    in
+    ignore (Solver.check ts);
+    List.iter record (keys ts)
+  done;
+  check_bool "the id table rotated" true
+    ((memo_stat "solver.atom_ids").Memo.evictions > 0);
+  check_int "no LIA entry evicted" 0 (memo_stat "solver.lia").Memo.evictions;
+  check_string "the cold answer and model again" cold
+    (answer_string (Solver.check first));
+  (* Evicted, so interned again: fresh ids. *)
+  List.iter record (keys first)
+
+(* ------------------------------------------------------------------ *)
+(* Budget charges and memo state                                      *)
+(* ------------------------------------------------------------------ *)
+
+let steps_charged f =
+  let b = Budget.create ~solver_steps:1_000_000 () in
+  Solver.with_budget b f;
+  b.Budget.solver_steps
+
+(* A feasibility query charges one solver step whether a memo answers
+   it or not: a fixed sequence of [check] and [check_pc] calls (literal
+   conjunctions, a refuted prefix and its extension, and a general
+   query that presolve settles) charges the same cold and warm. The
+   general path's refinement loop is the exception: each re-iteration
+   charges a step and only a [solver.full] miss runs it, so a query
+   that needs refinement charges more cold than warm. *)
+let test_budget_charges_cold_and_warm () =
+  let sat_pc = [ Term.le x (Term.int 3); Term.le (Term.int 1) x ] in
+  let refuted = Term.le x (Term.int 0) :: sat_pc in
+  let sequence () =
+    ignore (Solver.check sat_pc);
+    ignore (Solver.check (List.rev refuted));
+    let s = Solver.Incremental.create () in
+    List.iter
+      (fun pc -> ignore (Solver.Incremental.check_pc s pc))
+      [ sat_pc; refuted; Term.le y x :: refuted; sat_pc ];
+    ignore
+      (Solver.check
+         (Term.or_ [ Term.le x (Term.int 0); Term.le (Term.int 5) x ] :: sat_pc))
+  in
+  Solver.clear_caches ();
+  let cold = steps_charged sequence in
+  let warm = steps_charged sequence in
+  check_int "one step per query" 7 cold;
+  check_int "warm charges = cold charges" cold warm;
+  let clash v = Term.and_ [ Term.lt v (Term.int 0); Term.lt (Term.int 0) v ] in
+  let refine () =
+    ignore (Solver.check [ Term.or_ [ clash x; clash y; clash z ] ])
+  in
+  Solver.clear_caches ();
+  let cold = steps_charged refine in
+  let warm = steps_charged refine in
+  check_int "warm: one step" 1 warm;
+  check_bool
+    (Printf.sprintf "cold refinement charges more (%d steps)" cold)
+    true (cold > warm)
+
+(* ------------------------------------------------------------------ *)
 (* Parallel pipeline determinism                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -489,6 +639,12 @@ let () =
         @ [
             Alcotest.test_case "memo keys spread over buckets" `Quick
               test_cache_key_spread;
+            Alcotest.test_case "one LIA entry per atom set, one model" `Quick
+              test_lia_memo_keyed_by_atom_set;
+            Alcotest.test_case "atom ids are never reused" `Slow
+              test_atom_ids_never_reused;
+            Alcotest.test_case "budget charges: cold = warm" `Quick
+              test_budget_charges_cold_and_warm;
           ] );
       ( "parallel",
         [

@@ -676,7 +676,7 @@ let test_protocol_entry_bytes_pinned () =
       ( "A|671adc5857bf516b75d8a82c9f654c06|48d2afa98bb9b3341074408d32a176f2",
         "e8cda540040c542550df4c75ec4deda2" );
       ("L|c0c7eebfb9e20215fb45817277e37691", "874c15f94f736a44ac70f8781b6f4122");
-      ("R|31264daa3e087ac8b47d9be96df544f5", "34dc6c679bbb249c470d9efa9edda8e3");
+      ("R|31264daa3e087ac8b47d9be96df544f5", "462c3df02a1cf672576084b5ae08f8e6");
     ]
     (List.map (fun (k, v) -> (k, Digest.to_hex (Digest.string v))) targets);
   check_string "layer payload" "49;49;49;"
