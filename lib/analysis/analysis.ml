@@ -1223,7 +1223,9 @@ type func_facts = {
   ff_func : Instr.func;
   ff_ctx : fn_ctx;
   ff_in : (Instr.label, state) Hashtbl.t; (* absent = unreachable *)
-  ff_branch : branch_info Blocktbl.t; (* physical-identity keyed *)
+  ff_branch : branch_info Blocktbl.t Lazy.t;
+      (* physical-identity keyed; built on the first branch query, so
+         facts only harvested for their call sites never pay for it *)
 }
 
 type summary = {
@@ -1232,10 +1234,11 @@ type summary = {
          summarization-window env only ever executes its own small call
          cone, so analyzing the rest of the program eagerly for every
          distinct window would be pure waste *)
-  sm_plain : (string, func_facts) Hashtbl.t;
+  sm_plain : (string, func_facts Lazy.t) Hashtbl.t;
       (* PR 5 abstraction: havoc at calls, no env — the attribution
          baseline for [bi_interproc] and heuristics calibrated to
-         intraprocedural precision *)
+         intraprocedural precision; forced with the first branch table
+         that needs it *)
   sm_rsums : (string, rsummary) Hashtbl.t;
   sm_cg : Callgraph.t;
   sm_store_hits : int; (* rsummaries served by the persistence hook *)
@@ -1256,7 +1259,8 @@ let edge_states (ctx : fn_ctx) (s : st) (t : Instr.terminator) :
    context fixpoint or an env root's declared facts — is responsible
    for their soundness); [plain] is the same function's facts under
    the PR 5 abstraction (havoc at calls, no environment) and only
-   drives the [bi_interproc] attribution bit. *)
+   drives the [bi_interproc] attribution bit, so it is forced only with
+   the branch table. *)
 let analyze_func ?(lookup = fun _ -> None) ?(fieldinv = fun _ _ -> None)
     ?(pure = fun _ -> false) ?(entry = []) ?plain (prog : Instr.program)
     (f : Instr.func) : func_facts =
@@ -1301,39 +1305,46 @@ let analyze_func ?(lookup = fun _ -> None) ?(fieldinv = fun _ _ -> None)
         match tb.Instr.term with Instr.Panic _ -> true | _ -> false)
     | None -> false
   in
-  let branch = Blocktbl.create 16 in
-  List.iter
-    (fun (l, (b : Instr.block)) ->
-      match b.Instr.term with
-      | Instr.Cond_br (c, l1, l2) ->
-          let fact =
-            match Hashtbl.find_opt in_states l with
-            | None | Some Bot -> { then_dead = true; else_dead = true }
-            | Some (St s) ->
-                let s = transfer_insns ctx s b.Instr.insns in
-                {
-                  then_dead = assume ctx s c true = Bot;
-                  else_dead = assume ctx s c false = Bot;
-                }
-          in
-          let interproc =
-            match plain with
-            | None -> false
-            | Some (pf : func_facts) -> (
-                match Blocktbl.find_opt pf.ff_branch b with
-                | Some pbi ->
-                    (fact.then_dead && not pbi.bi_fact.then_dead)
-                    || (fact.else_dead && not pbi.bi_fact.else_dead)
-                | None -> fact.then_dead || fact.else_dead)
-          in
-          Blocktbl.replace branch b
-            {
-              bi_fact = fact;
-              bi_guards_panic = is_panic l1 || is_panic l2;
-              bi_interproc = interproc;
-            }
-      | _ -> ())
-    f.Instr.blocks;
+  let branch =
+    lazy
+      (let tbl = Blocktbl.create 16 in
+       List.iter
+         (fun (l, (b : Instr.block)) ->
+           match b.Instr.term with
+           | Instr.Cond_br (c, l1, l2) ->
+               let fact =
+                 match Hashtbl.find_opt in_states l with
+                 | None | Some Bot -> { then_dead = true; else_dead = true }
+                 | Some (St s) ->
+                     let s = transfer_insns ctx s b.Instr.insns in
+                     {
+                       then_dead = assume ctx s c true = Bot;
+                       else_dead = assume ctx s c false = Bot;
+                     }
+               in
+               (* No dead edge, nothing to attribute: plain is forced
+                  only for functions that have one. *)
+               let interproc =
+                 match plain with
+                 | _ when not (fact.then_dead || fact.else_dead) -> false
+                 | None -> false
+                 | Some (lazy (pf : func_facts)) -> (
+                     match Blocktbl.find_opt (Lazy.force pf.ff_branch) b with
+                     | Some pbi ->
+                         (fact.then_dead && not pbi.bi_fact.then_dead)
+                         || (fact.else_dead && not pbi.bi_fact.else_dead)
+                     | None -> fact.then_dead || fact.else_dead)
+               in
+               Blocktbl.replace tbl b
+                 {
+                   bi_fact = fact;
+                   bi_guards_panic = is_panic l1 || is_panic l2;
+                   bi_interproc = interproc;
+                 }
+           | _ -> ())
+         f.Instr.blocks;
+       tbl)
+  in
   { ff_func = f; ff_ctx = ctx; ff_in = in_states; ff_branch = branch }
 
 (* ------------------------------------------------------------------ *)
@@ -1589,7 +1600,7 @@ let context_rounds prog = (2 * List.length prog.Instr.funcs) + 4
 type analyze_base = {
   ab_cg : Callgraph.t;
   ab_pure : SSet.t;
-  ab_plain : (string, func_facts) Hashtbl.t;
+  ab_plain : (string, func_facts Lazy.t) Hashtbl.t;
 }
 
 (* Programs are immutable, so hashing one is safe; equality is
@@ -1612,7 +1623,7 @@ let analyze_base (prog : Instr.program) : analyze_base =
       let plain = Hashtbl.create 16 in
       List.iter
         (fun (f : Instr.func) ->
-          Hashtbl.replace plain f.Instr.fn_name (analyze_func prog f))
+          Hashtbl.replace plain f.Instr.fn_name (lazy (analyze_func prog f)))
         prog.Instr.funcs;
       let b = { ab_cg = cg; ab_pure = pure_set prog cg; ab_plain = plain } in
       Base_memo.add base_memo prog b;
@@ -1622,7 +1633,8 @@ let analyze_base (prog : Instr.program) : analyze_base =
    every summarization-window env has no field invariants, so they all
    share one table per program. The persistence hook is part of the key
    (by identity, unhashed) so a freshly installed store still sees its
-   loads and saves. *)
+   loads and saves. A table is never written once memoized, and every
+   analysis it serves reads that same table. *)
 module Rsums_memo = Memo.Make (struct
   type t = Instr.program * string * ip_persist option
 
@@ -1634,6 +1646,39 @@ end)
 
 let rsums_memo : ((string, rsummary) Hashtbl.t * int * int) Rsums_memo.t =
   Rsums_memo.create ~name:"analysis.rsums" ~limit:16
+
+(* Facts per (program, filtered field invariants, persistence hook,
+   function, entry context): what an rsummary table is keyed by, with
+   the field-invariant list itself rather than its digest, then the
+   pair. The context fixpoint's rounds, the final facts and every env
+   over the same program and field invariants share them, so each pair
+   is analyzed once. An entry also records the rsummary table it was
+   computed under and is served only under that table ([==]): a table
+   recomputed after its memo entry was evicted is a new table. A context
+   the fixpoint grew past keeps only its call sites ([Calls]): a later
+   fixpoint over the same env harvests it again, but nothing reads its
+   facts. *)
+type pair_facts =
+  | Facts of func_facts
+  | Calls of (string * aval list) list (* callee, abstract arguments *)
+
+module Facts_memo = Memo.Make (struct
+  type t =
+    Instr.program
+    * (string * int * aval) list
+    * ip_persist option
+    * string
+    * (string * aval) list
+
+  let equal (p, fs, pr, fn, e) (p', fs', pr', fn', e') =
+    p == p' && pr == pr' && String.equal fn fn' && fs = fs' && e = e'
+
+  let hash (p, fs, _, fn, e) =
+    Hashtbl.hash (Hashtbl.hash p, Hashtbl.hash fs, fn, Hashtbl.hash e)
+end)
+
+let facts_memo : ((string, rsummary) Hashtbl.t * pair_facts) Facts_memo.t =
+  Facts_memo.create ~name:"analysis.facts" ~limit:256
 
 let analyze ?env (prog : Instr.program) : summary =
   let { ab_cg = cg; ab_pure = pure; ab_plain = plain } = analyze_base prog in
@@ -1649,13 +1694,7 @@ let analyze ?env (prog : Instr.program) : summary =
       fields
   in
   let find_fn fn = List.find (fun g -> g.Instr.fn_name = fn) prog.Instr.funcs in
-  (* Bottom-up relational summaries over the SCC condensation, served
-     from the persistence hook when installed. Cycles start at havoc
-     and are refined a bounded number of rounds. *)
   let persist = ip_persist_installed () in
-  let rsums : (string, rsummary) Hashtbl.t = Hashtbl.create 16 in
-  let lookup fn = Hashtbl.find_opt rsums fn in
-  let hits = ref 0 and misses = ref 0 in
   (* Everything the summaries depend on besides the function's own call
      cone: the surviving field invariants (already program-filtered). *)
   let envfp =
@@ -1667,65 +1706,86 @@ let analyze ?env (prog : Instr.program) : summary =
                  Format.asprintf "%s.%d=%a" s i pp_aval a)
                fields)))
   in
-  let load_persisted fn =
-    match persist with
-    | None -> None
-    | Some p -> (
-        match p.ipp_load ~envfp fn with
-        | Some rs when rsummary_matches (find_fn fn) rs -> Some rs
-        | _ -> None)
+  (* Bottom-up relational summaries over the SCC condensation, served
+     from the persistence hook when installed. Cycles start at havoc
+     and are refined a bounded number of rounds. *)
+  let rsums, hits, misses =
+    match Rsums_memo.find_opt rsums_memo (prog, envfp, persist) with
+    | Some r -> r
+    | None ->
+        let rsums : (string, rsummary) Hashtbl.t = Hashtbl.create 16 in
+        let lookup fn = Hashtbl.find_opt rsums fn in
+        let hits = ref 0 and misses = ref 0 in
+        let load_persisted fn =
+          match persist with
+          | None -> None
+          | Some p -> (
+              match p.ipp_load ~envfp fn with
+              | Some rs when rsummary_matches (find_fn fn) rs -> Some rs
+              | _ -> None)
+        in
+        let save_persisted fn rs =
+          match persist with None -> () | Some p -> p.ipp_save ~envfp fn rs
+        in
+        let compute fn =
+          let f = find_fn fn in
+          let ff = analyze_func ~lookup ~fieldinv ~pure:is_pure prog f in
+          extract_rsummary ff ~pure:(is_pure fn)
+        in
+        List.iter
+          (fun scc ->
+            let cyclic =
+              match scc with [ one ] -> Callgraph.in_cycle cg one | _ -> true
+            in
+            let loaded = List.filter_map (fun fn ->
+                Option.map (fun rs -> (fn, rs)) (load_persisted fn)) scc
+            in
+            if List.length loaded = List.length scc then begin
+              hits := !hits + List.length scc;
+              List.iter (fun (fn, rs) -> Hashtbl.replace rsums fn rs) loaded
+            end
+            else begin
+              misses := !misses + List.length scc;
+              if not cyclic then
+                List.iter
+                  (fun fn ->
+                    let rs = compute fn in
+                    Hashtbl.replace rsums fn rs;
+                    save_persisted fn rs)
+                  scc
+              else begin
+                List.iter
+                  (fun fn ->
+                    Hashtbl.replace rsums fn (havoc_rsummary (find_fn fn)))
+                  scc;
+                for _round = 1 to scc_rounds do
+                  List.iter (fun fn -> Hashtbl.replace rsums fn (compute fn)) scc
+                done;
+                List.iter
+                  (fun fn -> save_persisted fn (Hashtbl.find rsums fn))
+                  scc
+              end
+            end)
+          (Callgraph.sccs cg);
+        let r = (rsums, !hits, !misses) in
+        Rsums_memo.add rsums_memo (prog, envfp, persist) r;
+        r
   in
-  let save_persisted fn rs =
-    match persist with None -> () | Some p -> p.ipp_save ~envfp fn rs
+  let lookup fn = Hashtbl.find_opt rsums fn in
+  let key fn entry = (prog, fields, persist, fn, entry) in
+  (* One function's facts under one entry context, attributed against
+     plain: the harvests below and the final facts are the same call. *)
+  let facts_at fn entry =
+    match Facts_memo.find_opt facts_memo (key fn entry) with
+    | Some (t, Facts ff) when t == rsums -> ff
+    | _ ->
+        let ff =
+          analyze_func ~lookup ~fieldinv ~pure:is_pure ~entry
+            ?plain:(Hashtbl.find_opt plain fn) prog (find_fn fn)
+        in
+        Facts_memo.replace facts_memo (key fn entry) (rsums, Facts ff);
+        ff
   in
-  let compute fn =
-    let f = find_fn fn in
-    let ff = analyze_func ~lookup ~fieldinv ~pure:is_pure prog f in
-    extract_rsummary ff ~pure:(is_pure fn)
-  in
-  (match Rsums_memo.find_opt rsums_memo (prog, envfp, persist) with
-   | Some (tbl, h, m) ->
-       Hashtbl.iter (fun fn rs -> Hashtbl.replace rsums fn rs) tbl;
-       hits := h;
-       misses := m
-   | None ->
-       List.iter
-         (fun scc ->
-           let cyclic =
-             match scc with [ one ] -> Callgraph.in_cycle cg one | _ -> true
-           in
-           let loaded = List.filter_map (fun fn ->
-               Option.map (fun rs -> (fn, rs)) (load_persisted fn)) scc
-           in
-           if List.length loaded = List.length scc then begin
-             hits := !hits + List.length scc;
-             List.iter (fun (fn, rs) -> Hashtbl.replace rsums fn rs) loaded
-           end
-           else begin
-             misses := !misses + List.length scc;
-             if not cyclic then
-               List.iter
-                 (fun fn ->
-                   let rs = compute fn in
-                   Hashtbl.replace rsums fn rs;
-                   save_persisted fn rs)
-                 scc
-             else begin
-               List.iter
-                 (fun fn ->
-                   Hashtbl.replace rsums fn (havoc_rsummary (find_fn fn)))
-                 scc;
-               for _round = 1 to scc_rounds do
-                 List.iter (fun fn -> Hashtbl.replace rsums fn (compute fn)) scc
-               done;
-               List.iter
-                 (fun fn -> save_persisted fn (Hashtbl.find rsums fn))
-                 scc
-             end
-           end)
-         (Callgraph.sccs cg);
-       Rsums_memo.add rsums_memo (prog, envfp, persist)
-         (Hashtbl.copy rsums, !hits, !misses));
   (* Context fixpoint: with an env, every non-root function's
      parameters are narrowed to the join of all syntactic call-site
      arguments, iterated (ascending, widened) to a least fixpoint.
@@ -1766,6 +1826,8 @@ let analyze ?env (prog : Instr.program) : summary =
         && List.for_all2 (fun (r, v) (r', v') -> r = r' && v = v') a b
       in
       let rounds = context_rounds prog in
+      (* (function, context) ↦ call sites, for every pair harvested *)
+      let harvested = Hashtbl.create 16 in
       let converged = ref false in
       let round = ref 0 in
       while (not !converged) && !round < rounds do
@@ -1793,28 +1855,44 @@ let analyze ?env (prog : Instr.program) : summary =
                        old fresh)
             end
         in
+        (* Every reachable call site of [fn] under [entry], in program
+           order. *)
+        let call_sites fn entry =
+          match Facts_memo.find_opt facts_memo (key fn entry) with
+          | Some (t, Calls cs) when t == rsums -> cs
+          | _ ->
+              let ff = facts_at fn entry in
+              let cs = ref [] in
+              List.iter
+                (fun (l, (b : Instr.block)) ->
+                  match Hashtbl.find_opt ff.ff_in l with
+                  | None | Some Bot -> ()
+                  | Some (St s0) ->
+                      ignore
+                        (List.fold_left
+                           (fun s insn ->
+                             (match insn with
+                             | Instr.Assign (_, Instr.Call (callee, args))
+                             | Instr.Call_void (callee, args) ->
+                                 cs :=
+                                   (callee, List.map (eval_operand s) args)
+                                   :: !cs
+                             | _ -> ());
+                             transfer_insn ff.ff_ctx s insn)
+                           s0 b.Instr.insns))
+                ff.ff_func.Instr.blocks;
+              List.rev !cs
+        in
         let harvest fn (entry : (string * aval) list) =
-          let f = find_fn fn in
-          let ff =
-            analyze_func ~lookup ~fieldinv ~pure:is_pure ~entry prog f
+          let cs =
+            match Hashtbl.find_opt harvested (fn, entry) with
+            | Some cs -> cs
+            | None ->
+                let cs = call_sites fn entry in
+                Hashtbl.replace harvested (fn, entry) cs;
+                cs
           in
-          List.iter
-            (fun (l, (b : Instr.block)) ->
-              match Hashtbl.find_opt ff.ff_in l with
-              | None | Some Bot -> ()
-              | Some (St s0) ->
-                  ignore
-                    (List.fold_left
-                       (fun s insn ->
-                         (match insn with
-                         | Instr.Assign (_, Instr.Call (callee, args))
-                         | Instr.Call_void (callee, args) ->
-                             add_call callee
-                               (List.map (eval_operand s) args)
-                         | _ -> ());
-                         transfer_insn ff.ff_ctx s insn)
-                       s0 b.Instr.insns))
-            f.Instr.blocks
+          List.iter (fun (callee, args) -> add_call callee args) cs
         in
         (* roots always run; non-roots run once they have a context *)
         List.iter
@@ -1860,10 +1938,17 @@ let analyze ?env (prog : Instr.program) : summary =
             match Hashtbl.find_opt cur fn with
             | Some c when !converged -> Hashtbl.replace contexts fn c
             | _ -> ())
-        prog.Instr.funcs);
-  (* Final facts with converged contexts, attributed against plain —
-     computed lazily so an env that only ever executes a small call
-     cone (a summarization window) never pays for the rest. *)
+        prog.Instr.funcs;
+      (* Contexts the fixpoint grew past keep only their call sites. *)
+      Hashtbl.iter
+        (fun (fn, c) cs ->
+          if Hashtbl.find_opt contexts fn <> Some c then
+            Facts_memo.replace facts_memo (key fn c) (rsums, Calls cs))
+        harvested);
+  (* Final facts with converged contexts — forced lazily so an env that
+     only ever executes a small call cone (a summarization window) never
+     pays for the rest; a converged context was harvested with these
+     very facts in the last round. *)
   let facts = Hashtbl.create 16 in
   List.iter
     (fun (f : Instr.func) ->
@@ -1871,18 +1956,15 @@ let analyze ?env (prog : Instr.program) : summary =
       let entry =
         Option.value (Hashtbl.find_opt contexts fn) ~default:[]
       in
-      Hashtbl.replace facts fn
-        (lazy
-          (analyze_func ~lookup ~fieldinv ~pure:is_pure ~entry
-             ?plain:(Hashtbl.find_opt plain fn) prog f)))
+      Hashtbl.replace facts fn (lazy (facts_at fn entry)))
     prog.Instr.funcs;
   {
     sm_facts = facts;
     sm_plain = plain;
     sm_rsums = rsums;
     sm_cg = cg;
-    sm_store_hits = !hits;
-    sm_store_misses = !misses;
+    sm_store_hits = hits;
+    sm_store_misses = misses;
   }
 
 (* Domain-local memo keyed on the program's physical identity plus the
@@ -1912,7 +1994,8 @@ let summarize ?env (prog : Instr.program) : summary =
 let clear_memo () =
   Summary_memo.clear summary_memo;
   Base_memo.clear base_memo;
-  Rsums_memo.clear rsums_memo
+  Rsums_memo.clear rsums_memo;
+  Facts_memo.clear facts_memo
 
 (* ------------------------------------------------------------------ *)
 (* Query API                                                          *)
@@ -1933,7 +2016,7 @@ let interproc_stats (s : summary) : (string * int) list =
   let nbranch pred =
     Hashtbl.fold
       (fun _ ff acc ->
-        Blocktbl.fold (fun _ bi acc -> if pred bi then acc + 1 else acc) (Lazy.force ff).ff_branch acc)
+        Blocktbl.fold (fun _ bi acc -> if pred bi then acc + 1 else acc) (Lazy.force (Lazy.force ff).ff_branch) acc)
       s.sm_facts 0
   in
   [
@@ -1954,7 +2037,7 @@ let interproc_stats (s : summary) : (string * int) list =
    [b]. The block is matched by physical identity — the executor and
    the analysis walk the same program value. *)
 let branch_info (ff : func_facts) (b : Instr.block) : branch_info option =
-  Blocktbl.find_opt ff.ff_branch b
+  Blocktbl.find_opt (Lazy.force ff.ff_branch) b
 
 let branch_fact (s : summary) (fn : string) (b : Instr.block) :
     edge_fact option =
@@ -2415,7 +2498,9 @@ module Lint = struct
           match Hashtbl.find_opt summary.sm_facts f.Instr.fn_name with
           | Some ff ->
               lint_func
-                ?plain:(Hashtbl.find_opt summary.sm_plain f.Instr.fn_name)
+                ?plain:
+                  (Option.map Lazy.force
+                     (Hashtbl.find_opt summary.sm_plain f.Instr.fn_name))
                 (Lazy.force ff)
           | None -> [])
         prog.Instr.funcs

@@ -197,7 +197,10 @@ type summary
    through [ip_persist] when installed), then per-function fixpoints
    with summaries applied at call sites; with an [env], a context
    fixpoint additionally narrows non-root parameters. One [analyze]
-   trace span per function fixpoint. *)
+   trace span per function fixpoint. A (function, entry context) pair's
+   facts come from a domain-local memo shared by every analysis of the
+   same program under the same field invariants, so each pair runs one
+   fixpoint. *)
 val analyze : ?env:env -> Instr.program -> summary
 
 (* Domain-local memoized [analyze], keyed on the program's physical
@@ -205,6 +208,8 @@ val analyze : ?env:env -> Instr.program -> summary
    one program value per domain, so re-verification never
    re-analyzes). *)
 val summarize : ?env:env -> Instr.program -> summary
+
+(* Empty this domain's analysis memos, the per-pair facts included. *)
 val clear_memo : unit -> unit
 
 val func_facts : summary -> string -> func_facts option

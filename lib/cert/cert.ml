@@ -124,12 +124,15 @@ let rec linof (t : Term.t) : lin =
 
 (* A usable arithmetic fact: lin ≤ 0 or lin = 0. [sign] is the polarity
    under which the fact holds; negations are integer-strengthened
-   (¬(a ≤ b) over the integers means b+1 ≤ a). *)
+   (¬(a ≤ b) over the integers means b+1 ≤ a). A constant comparison
+   the term library folded away reads as what it was: [false] as the
+   fact 1 ≤ 0. *)
 type form = Le0 of lin | Eq0 of lin
 
 let rec form_of ~(sign : bool) (t : Term.t) : form =
   match t with
   | Term.Not a -> form_of ~sign:(not sign) a
+  | Term.False when sign -> Le0 (l_const r_one)
   | Term.Le (a, b) ->
       if sign then Le0 (l_sub (linof a) (linof b))
       else Le0 (l_add (l_sub (linof b) (linof a)) (l_const r_one))
@@ -213,7 +216,10 @@ let check_farkas (facts : unit Tbl.t) (steps : Proof.step list) : unit =
    the in-scope disequality [neq]: for some integer-valued form e
    proportional to the disequality's difference d (e = s·d, s ≠ 0),
    le1 ⇔ e+1 ≤ 0 and ge1 ⇔ 1−e ≤ 0. Over the integers d ≠ 0 forces
-   e ≤ −1 ∨ e ≥ 1, so the two branches are exhaustive. *)
+   e ≤ −1 ∨ e ≥ 1, so the two branches are exhaustive. The one other
+   accepted split is on an identically-zero difference (x+y ≠ y+x)
+   with e ≡ 0, both sides reading 1 ≤ 0: the in-scope d ≠ 0 is then
+   itself false, so any branches follow from it. *)
 let check_neq_split (neq : Term.t) (le1 : Term.t) (ge1 : Term.t) : unit =
   let d =
     match neq with
@@ -230,22 +236,25 @@ let check_neq_split (neq : Term.t) (le1 : Term.t) (ge1 : Term.t) : unit =
   if not (l_equal (side ge1) (l_sub (l_const r_one) e)) then
     reject "Split_neq sides are not mirror tightenings";
   if not (l_integral e) then reject "Split_neq tightening is not integral";
-  (* e = s·d for some s ≠ 0. *)
-  let s =
-    match (Smap.choose_opt d.coeffs, Smap.choose_opt e.coeffs) with
-    | Some (x, dc), Some _ -> (
-        match Smap.find_opt x e.coeffs with
-        | Some ec -> r_div ec dc
-        | None -> reject "Split_neq tightening drops a variable")
-    | None, None ->
-        if r_is_zero d.const then
-          reject "Split_neq on an identically-zero difference"
-        else r_div e.const d.const
-    | _ -> reject "Split_neq tightening does not match the disequality"
-  in
-  if r_is_zero s then reject "Split_neq tightening is trivial";
-  if not (l_equal e (l_scale s d)) then
-    reject "Split_neq tightening is not proportional to the disequality"
+  if l_equal d (l_const r_zero) then begin
+    if not (l_equal e (l_const r_zero)) then
+      reject "Split_neq on an identically-zero difference"
+  end
+  else begin
+    (* e = s·d for some s ≠ 0. *)
+    let s =
+      match (Smap.choose_opt d.coeffs, Smap.choose_opt e.coeffs) with
+      | Some (x, dc), Some _ -> (
+          match Smap.find_opt x e.coeffs with
+          | Some ec -> r_div ec dc
+          | None -> reject "Split_neq tightening drops a variable")
+      | None, None -> r_div e.const d.const
+      | _ -> reject "Split_neq tightening does not match the disequality"
+    in
+    if r_is_zero s then reject "Split_neq tightening is trivial";
+    if not (l_equal e (l_scale s d)) then
+      reject "Split_neq tightening is not proportional to the disequality"
+  end
 
 let check_tree (asserted : Term.t list) (tree : Proof.tree) : unit =
   let facts : unit Tbl.t = Tbl.create 64 in

@@ -63,6 +63,11 @@ val diff_cells :
 val diff_memory :
   Sval.memory ->
   Sval.memory -> write list * (int * Sval.scell) list
+(* The analysis env a summarization window of [fn] vouches for, given
+   its canonical arguments: [fn] is the only root, pointer arguments are
+   definitely non-null or null, nothing else is known. Interned per
+   nullness pattern. *)
+val window_env : string -> Sval.sval list -> Analysis.env
 val summarize_at :
   ?reach:int list ->
   Exec.ctx ->

@@ -391,6 +391,76 @@ let test_soundness_engine () =
     Engine.Versions.all
 
 (* ------------------------------------------------------------------ *)
+(* Facts memo                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Facts are a function of (program, env) alone, whatever the facts
+   memo holds: v3.0-fixed under the engine env and the window envs of
+   its summarized layers (every pointer argument live), each analyzed
+   from a cleared memo and again after the other envs, in both orders,
+   gives every label the same entry state and every conditional branch
+   the same [branch_info], [bi_interproc] included. *)
+let test_facts_memo_invariant () =
+  let prog =
+    Engine.Versions.compiled (Engine.Versions.fixed Engine.Versions.v3_0)
+  in
+  let func fn =
+    List.find (fun (f : Instr.func) -> f.Instr.fn_name = fn) prog.Instr.funcs
+  in
+  let window fn =
+    Symex.Summary.window_env fn
+      (List.map
+         (fun (_, ty) ->
+           match (ty : Ty.t) with
+           | Ty.I1 | Ty.I64 -> Symex.Sval.SInt (Smt.Term.int 0)
+           | _ -> Symex.Sval.SPtr { Value.block = 1; path = [] })
+         (func fn).Instr.params)
+  in
+  let envs =
+    ("engine", Refine.Check.engine_env ())
+    :: List.map (fun fn -> (fn, window fn)) Engine.Builder.summarized_layers
+  in
+  let facts env =
+    let s = Analysis.analyze ~env prog in
+    List.concat_map
+      (fun (f : Instr.func) ->
+        let fn = f.Instr.fn_name in
+        let ff = Analysis.func_facts s fn in
+        List.map
+          (fun (l, b) ->
+            ( (fn, l),
+              Analysis.in_state s ~fn ~label:l,
+              Option.bind ff (fun ff -> Analysis.branch_info ff b) ))
+          f.Instr.blocks)
+      prog.Instr.funcs
+  in
+  let cold =
+    List.map
+      (fun (name, env) ->
+        Analysis.clear_memo ();
+        (name, facts env))
+      envs
+  in
+  let same name order warm =
+    List.iter2
+      (fun ((fn, l), st, bi) ((_, _), st', bi') ->
+        let what = Printf.sprintf "%s %s: %s/%s" order name fn l in
+        check_bool (what ^ " in_state") true
+          (match (st, st') with
+          | Some a, Some b -> Analysis.state_equal a b
+          | None, None -> true
+          | _ -> false);
+        check_bool (what ^ " branch_info") true (bi = bi'))
+      (List.assoc name cold) warm
+  in
+  List.iter
+    (fun (order, envs) ->
+      Analysis.clear_memo ();
+      List.iter (fun (name, env) -> same name order (facts env)) envs)
+    [ ("forward", envs); ("backward", List.rev envs) ];
+  Analysis.clear_memo ()
+
+(* ------------------------------------------------------------------ *)
 (* Prune invariance                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -683,6 +753,11 @@ let () =
             Alcotest.test_case "engine run inside abstract states" `Quick
               test_soundness_engine;
           ] );
+      ( "facts",
+        [
+          Alcotest.test_case "memo state never changes facts" `Quick
+            test_facts_memo_invariant;
+        ] );
       ( "prune",
         [
           Alcotest.test_case "fingerprints equal off/trust/distrust" `Quick

@@ -100,6 +100,53 @@ let test_checker_rejects_bogus_certificates () =
   | Proof.Invalid _ -> ()
   | Proof.Valid -> Alcotest.fail "empty Farkas combination accepted"
 
+(* A disequality whose difference is identically zero (x+y ≠ y+x) is
+   false as asserted. The solver refutes it with a split whose sides
+   both fold to false (1 ≤ 0), and the checker accepts exactly that
+   split: the conjunction is certified Unsat, not degraded to Unknown. *)
+let zero_diff = Term.neq (Term.add [ x; y ]) (Term.add [ y; x ])
+
+let test_zero_difference_certified () =
+  check_string "check" "unsat" (kind (Solver.check [ zero_diff ]));
+  match Solver.check_core_cert [ zero_diff ] with
+  | Solver.Unsat, Some (Proof.Unsat_witness tree) -> (
+      match Cert.validate_unsat [ zero_diff ] tree with
+      | Proof.Valid -> ()
+      | Proof.Invalid why -> Alcotest.failf "split rejected: %s" why)
+  | r, _ -> Alcotest.failf "expected a certified unsat, got %s" (kind r)
+
+(* Any other side of a split on an identically-zero difference, and the
+   folded sides on a difference that is not zero, are still rejected by
+   the split check itself. *)
+let test_zero_difference_mutations_rejected () =
+  let one = Proof.coeff_of_ints 1 1 in
+  let split neq le1 ge1 =
+    Proof.Split_neq
+      {
+        neq;
+        le1;
+        ge1;
+        left = Proof.Farkas [ { Proof.fact = le1; lam = one } ];
+        right = Proof.Farkas [ { Proof.fact = ge1; lam = one } ];
+      }
+  in
+  let rejected name asserted tree =
+    match Cert.validate_unsat asserted tree with
+    | Proof.Valid -> Alcotest.failf "%s: accepted" name
+    | Proof.Invalid why ->
+        check_bool (name ^ ": rejected by the split check (" ^ why ^ ")") true
+          (String.length why >= 9 && String.sub why 0 9 = "Split_neq")
+  in
+  (* Mirror tightenings of a non-zero e = x. *)
+  rejected "non-zero e" [ zero_diff ]
+    (split zero_diff
+       (Term.le x (Term.int (-1)))
+       (Term.le (Term.neg x) (Term.int (-1))));
+  rejected "one side not 1 ≤ 0" [ zero_diff ]
+    (split zero_diff Term.False (Term.le x (Term.int (-1))));
+  let xy = Term.neq x y in
+  rejected "folded sides on x ≠ y" [ xy ] (split xy Term.False Term.False)
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: caching under certification                                *)
 (* ------------------------------------------------------------------ *)
@@ -497,6 +544,10 @@ let () =
             test_solver_certificates_validate;
           Alcotest.test_case "bogus certificates rejected" `Quick
             test_checker_rejects_bogus_certificates;
+          Alcotest.test_case "zero-difference split certified" `Quick
+            (fi test_zero_difference_certified);
+          Alcotest.test_case "zero-difference split mutations rejected"
+            `Quick test_zero_difference_mutations_rejected;
         ] );
       ( "caching",
         [

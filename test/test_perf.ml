@@ -286,6 +286,29 @@ let test_memo_bounded () =
       (st.Memo.entries + st.Memo.evictions)
   done
 
+(* Each (function, entry context) is analyzed once per rsummary table:
+   a second [Analysis.analyze] of the same program under the same env,
+   called directly past [summarize]'s memo and with every function's
+   final facts forced, runs no function fixpoint at all. *)
+let test_analysis_pairs_once () =
+  let prog =
+    Engine.Versions.compiled (Engine.Versions.fixed Engine.Versions.v3_0)
+  in
+  let env = Refine.Check.engine_env () in
+  let fixpoints = Trace.Metrics.counter "analysis.functions" in
+  let analyze () =
+    let c0 = Trace.Metrics.value fixpoints in
+    let s = Analysis.analyze ~env prog in
+    List.iter
+      (fun (f : Minir.Instr.func) ->
+        ignore (Analysis.func_facts s f.Minir.Instr.fn_name))
+      prog.Minir.Instr.funcs;
+    Trace.Metrics.value fixpoints - c0
+  in
+  Analysis.clear_memo ();
+  check_bool "a cold analysis runs fixpoints" true (analyze () > 0);
+  Alcotest.(check int) "fixpoints of a second analysis" 0 (analyze ())
+
 let cleared_memos =
   [
     ( "Solver.clear_caches",
@@ -303,7 +326,12 @@ let cleared_memos =
       [ "pipeline.summary_stores"; "store.serve" ] );
     ( "Analysis.clear_memo",
       Analysis.clear_memo,
-      [ "analysis.summarize"; "analysis.base"; "analysis.rsums" ] );
+      [
+        "analysis.summarize";
+        "analysis.base";
+        "analysis.rsums";
+        "analysis.facts";
+      ] );
   ]
 
 (* What each clear function empties is what "a fresh process" means to
@@ -663,5 +691,7 @@ let () =
             test_memo_bounded;
           Alcotest.test_case "clear functions empty exactly their memos" `Quick
             test_memo_clear_scope;
+          Alcotest.test_case "each analysis pair runs once" `Quick
+            test_analysis_pairs_once;
         ] );
     ]
